@@ -2,7 +2,6 @@
 
 __version__ = "0.1.0"
 
-from .gas import GasModel
 from .errors import (
     MachstemError, ConfigError, DivergenceError, MeasurementError,
     AssemblyError, InvalidStateError,

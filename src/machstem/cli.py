@@ -6,6 +6,11 @@ Subcommands:
   sweep              dual-start angle sweep (impulsive and restart-chained)
   convergence-study  measured order on the advecting-vortex solution
 
+The math libraries run single-threaded, so repeated runs are bitwise
+identical: ``main`` pins OMP, OpenBLAS, MKL and numexpr to one thread
+before anything imports numpy (a variable already set in the
+environment is kept).  Importing this module loads no numpy.
+
 Exit codes: 0 success, 2 configuration error, 3 divergence, 4 front
 measurement failure, 5 overset assembly failure.
 """
@@ -15,20 +20,17 @@ import os
 import sys
 
 
-def _pin_threads(n):
-    # single-threaded math libraries by default so repeated runs are
-    # bitwise identical; must happen before numpy loads
+def _pin_threads():
+    # must happen before numpy loads
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
+        os.environ.setdefault(var, "1")
 
 
 def build_parser():
     top = argparse.ArgumentParser(
         prog="machstem",
         description="High-order wedge shock-reflection solver")
-    top.add_argument("--threads", type=int, default=1,
-                     help="math-library threads (default 1, reproducible)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("relations",
@@ -199,7 +201,7 @@ def _cmd_convergence(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _pin_threads(max(1, args.threads))
+    _pin_threads()
     from .errors import MachstemError
     try:
         if args.command == "relations":

@@ -67,7 +67,6 @@ SCHEMA = {
     "solver.stall_window": _Key(int, 4000, lambda v: v >= 0, ">= 0"),
     "solver.background_flux": _Key(str, "lax_friedrichs", None, "flux name"),
     "solver.overset_flux": _Key(str, "slau2", None, "flux name"),
-    "solver.threads": _Key(int, 1, lambda v: v >= 1, ">= 1"),
     "solver.log_every": _Key(int, 200, lambda v: v >= 0, ">= 0"),
     # stabilization
     "stabilization.indicator_variables": _Key(_str_list, ("density",),

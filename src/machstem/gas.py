@@ -5,7 +5,7 @@ x-momentum, ``q[2]`` y-momentum and ``q[3]`` total energy per unit volume.
 Every function broadcasts over trailing axes, so a single state ``(4,)``
 and batched quadrature data ``(4, n_elem, n_pts)`` share one code path.
 
-The working scaling puts the free stream at density gamma, pressure 1,
+The working scaling puts the free stream at density 1, pressure 1/gamma,
 so the free-stream sound speed is 1 and speed equals Mach number.
 """
 
@@ -117,13 +117,10 @@ def validate(q, gas, where=None):
     return p
 
 
-def free_stream(mach, gas, flow_angle=0.0):
+def free_stream(mach, gas):
     """Free-stream conserved state under the package scaling.
 
-    Density gamma and pressure 1 make the sound speed exactly 1, so the
-    velocity magnitude equals ``mach``. ``flow_angle`` (radians) rotates
-    the velocity in the x-y plane.
+    Density 1 and pressure 1/gamma make the sound speed exactly 1, so
+    the velocity, along +x, equals ``mach``.
     """
-    u = mach * np.cos(flow_angle)
-    v = mach * np.sin(flow_angle)
-    return conserved(gas.gamma, u, v, 1.0, gas)
+    return conserved(1.0, mach, 0.0, 1.0 / gas.gamma, gas)

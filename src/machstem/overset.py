@@ -343,33 +343,18 @@ class TransferOp:
         receiver_coeffs[:, self.fringe_idx[:, 0], self.fringe_idx[:, 1]] = proj
 
 
-def project_between(src_disc, src_coeffs, dst_disc, clamp=True):
-    """L2-project a whole solution from one block onto another.
+def project_between(sampler, dst_disc):
+    """L2-project a (multi-block) solution onto another block.
 
-    Used to start a fine run from a coarse checkpoint. Destination
-    quadrature points that fall (marginally) outside the source block snap
-    to the nearest source element when ``clamp`` is set.
+    ``sampler`` is a ``CompositeSampler`` over the source blocks in
+    priority order; destination quadrature points outside every source
+    block take the nearest element of its last block.  Seeds the coarse
+    and fine stages from a coarse solution or a restart checkpoint.
     """
-    rb = dst_disc.basis
-    geo = dst_disc.geo
-    pts = geo.vol_points.reshape(-1, 2)
-    locator = PointLocator(src_disc.block)
-    found, ij, rs = locator.locate(pts, clamp=clamp)
-    if not clamp and not found.all():
-        k = int(np.argmin(found))
-        raise AssemblyError(
-            f"projection point ({pts[k, 0]:.6g}, {pts[k, 1]:.6g}) lies "
-            f"outside the source block {src_disc.block.name!r}")
-    sb = src_disc.basis
-    modes = sb.eval_modes(rs[:, 0], rs[:, 1])         # (npts, Npd)
-    flat = ij[:, 0] * src_disc.block.nj + ij[:, 1]
-    sflat = src_coeffs.reshape(4, -1, sb.n_modes)
-    vals = np.einsum("qd,vqd->vq", modes, sflat[:, flat], optimize=True)
-    ni, nj, nq = dst_disc.block.ni, dst_disc.block.nj, rb.vol_nodes.shape[0]
-    vals = vals.reshape(4, ni, nj, nq)
-    rhs = np.einsum("qp,vijq->vijp", rb.vol_V * rb.vol_weights[:, None],
-                    vals * geo.detJ[None], optimize=True)
-    return np.einsum("ijpr,vijr->vijp", geo.mass_inv, rhs, optimize=True)
+    def states(x, y):
+        return sampler.states(np.stack([x, y], axis=-1)).reshape(
+            (4,) + x.shape)
+    return dst_disc.project(states)
 
 
 # ---------------------------------------------------------------------

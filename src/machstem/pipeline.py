@@ -28,11 +28,11 @@ from .errors import (AssemblyError, ConfigError, DivergenceError,
                      MeasurementError)
 from .overset import (CompositeSampler, OversetAssembly, points_in_footprint,
                       project_between)
-from .stabilization import Stabilizer, kxrcf_indicator, positivity_guard
+from .stabilization import Stabilizer, kxrcf_indicator, make_limiter_hook
 from .timestepping import (System, load_checkpoint, march_to_steady,
                            save_checkpoint)
-from .wedge import (FlowCase, build_wedge_grid, measure_stem, top_profile,
-                    wedge_geometry)
+from .wedge import (FlowCase, StemMeasurement, build_wedge_grid, measure_stem,
+                    tls_line, top_profile, wedge_geometry)
 
 CHECKPOINT_DIR = "checkpoint"
 OVERSET_GRID_FILE = "overset.grid"
@@ -72,19 +72,8 @@ class ShockSegment:
         return (float(p[0]), float(p[1]))
 
 
-def _tls(pts):
-    ctr = pts.mean(axis=0)
-    d = pts - ctr
-    _, _, vt = np.linalg.svd(d, full_matrices=False)
-    direction = vt[0]
-    if direction[0] < 0 or (direction[0] == 0 and direction[1] < 0):
-        direction = -direction
-    resid = d @ np.array([-direction[1], direction[0]])
-    return ctr, direction, float(np.sqrt(np.mean(resid ** 2)))
-
-
 def _segment_from_inliers(pts, label=""):
-    ctr, direction, rms = _tls(pts)
+    ctr, direction, rms = tls_line(pts)
     t = (pts - ctr) @ direction
     lo, hi = ctr + t.min() * direction, ctr + t.max() * direction
     if lo[0] > hi[0]:
@@ -161,7 +150,7 @@ def fit_shock_paths(points, cell_size, *, max_segments=4, min_points=6,
             break
         mask = best_mask
         for _ in range(3):        # TLS refinement with inlier re-selection
-            ctr, direction, _ = _tls(remaining[mask])
+            ctr, direction, _ = tls_line(remaining[mask])
             off = (remaining - ctr) @ np.array([-direction[1], direction[0]])
             mask = _longest_run(remaining, ctr, direction,
                                 np.abs(off) <= tol, gap)
@@ -177,8 +166,8 @@ def fit_shock_paths(points, cell_size, *, max_segments=4, min_points=6,
         joined = False
         for i in range(len(claims)):
             for j in range(i + 1, len(claims)):
-                ci, di, _ = _tls(claims[i])
-                cj, dj, _ = _tls(claims[j])
+                ci, di, _ = tls_line(claims[i])
+                cj, dj, _ = tls_line(claims[j])
                 sin_between = abs(di[0] * dj[1] - di[1] * dj[0])
                 off = abs((cj - ci) @ np.array([-di[1], di[0]]))
                 if sin_between <= math.sin(math.radians(6.0)) and off <= tol:
@@ -252,6 +241,13 @@ def _march_config(cfg, stage):
                 log_every=cfg["solver.log_every"])
 
 
+def _coarse_disc(case, cfg):
+    block = build_wedge_grid(case, *case.coarse_grid)
+    return Discretization(block, Basis(cfg["solver.coarse_order"]), case.gas,
+                          flux=cfg["solver.background_flux"],
+                          bc_state=case.free_stream())
+
+
 def run_coarse(case, cfg, *, seed_coeffs=None, on_log=None):
     """Low-order shock-locating solve on the background channel grid.
 
@@ -260,16 +256,12 @@ def run_coarse(case, cfg, *, seed_coeffs=None, on_log=None):
     the flag map is then recomputed on the settled solution and the
     fitted paths feed the aligned-patch construction.
     """
-    ni, nj = case.coarse_grid
-    block = build_wedge_grid(case, ni, nj)
-    disc = Discretization(block, Basis(cfg["solver.coarse_order"]), case.gas,
-                          flux=cfg["solver.background_flux"],
-                          bc_state=case.free_stream())
+    disc = _coarse_disc(case, cfg)
     stab = Stabilizer(mode="always",
                       variables=_indicator_vars(cfg),
                       threshold=cfg["stabilization.threshold"],
                       tvb_m=cfg["stabilization.tvb_m"], positivity=True)
-    system = System([disc], limiter=lambda cl: stab(disc, cl[0]))
+    system = System([disc], limiter=make_limiter_hook([disc], [stab]))
     if seed_coeffs is None:
         coeffs = disc.project_constant(case.free_stream())
     else:
@@ -286,7 +278,7 @@ def run_coarse(case, cfg, *, seed_coeffs=None, on_log=None):
     ind, flagged = kxrcf_indicator(disc, coeffs, _indicator_vars(cfg),
                                    cfg["stabilization.flag_threshold"])
     cell = math.sqrt(float(np.median(disc.geo.element_area)))
-    segments = fit_shock_paths(flagged_centroids(block, flagged), cell,
+    segments = fit_shock_paths(flagged_centroids(disc.block, flagged), cell,
                                case=case)
     return CoarseResult(disc, coeffs, march, ind, flagged, segments, cell)
 
@@ -442,31 +434,6 @@ class FineResult:
     cell_size: float
 
 
-class _BackgroundMonitor:
-    """Per-iteration attestation that the background runs unlimited.
-
-    The fine stage gives the background block no limiter at all — only
-    the admissibility guard that clips non-physical cell means during
-    hard transients.  Each end-of-iteration state is counted so the run
-    record can state over how many iterations the no-limiting policy
-    held.
-    """
-
-    def __init__(self, disc):
-        self.disc = disc
-        self.calls = 0
-        self.checked_iterations = 0
-        self.guard_activations = 0
-
-    def __call__(self, coeffs):
-        # the steady driver runs hooks 3x per iteration (two intermediate
-        # stages + the final state); count the end-of-iteration states
-        if self.calls % 3 == 0:
-            self.guard_activations += positivity_guard(self.disc, coeffs)
-            self.checked_iterations += 1
-        self.calls += 1
-
-
 def _check_background_clean(disc, coeffs, variables, threshold):
     """Settled-state check: the indicator must not fire on any active
     background element.  A hit means part of the shock system parked
@@ -538,47 +505,20 @@ def load_fine_checkpoint(path, gas):
             raise ConfigError(
                 f"restart checkpoint {path} block {d.block.name!r} has "
                 f"shape {c.shape}, incompatible with its grid")
-    return discs, coeffs, src_case
+    return discs, coeffs
 
 
-def _initial_fine_state(case, cfg, discs, coarse):
-    """Project the seed solution onto the fine grids.
+def run_fine(case, cfg, coarse, seed, *, on_log=None):
+    """High-order two-grid solve with capturing confined to the patch.
 
-    Impulsive cases seed from the coarse solution; restart cases project
-    a previous fine checkpoint across the geometry change (nearest-valid
-    -point evaluation outside the old domain).
+    Builds the aligned patch from the coarse flag map (or reads it from
+    ``overset.grid_file``), L2-projects ``seed`` -- a ``CompositeSampler``
+    over the coarse solution, or over a restart checkpoint -- onto the
+    background and the patch, and marches both.  Every stage the patch
+    gets the indicator-gated limiter and both blocks the positivity
+    guard; the background is never limited.  With no flagged cell there
+    is no patch: the background marches alone and nothing is measured.
     """
-    if case.restart_path is not None:
-        src_discs, src_coeffs, _ = load_fine_checkpoint(
-            case.restart_path, case.gas)
-        sources = list(zip(src_discs, src_coeffs))
-        # prefer the refined patch as donor where the old blocks overlap
-        sources.reverse()
-        if len(sources) == 1:
-            src_d, src_c = sources[0]
-            return [project_between(src_d, src_c, d, clamp=True)
-                    for d in discs]
-        return [_project_composite(sources, d) for d in discs]
-    return [project_between(coarse.disc, coarse.coeffs, d, clamp=True)
-            for d in discs]
-
-
-def _project_composite(sources, dst_disc):
-    """L2-project a prioritized multi-block solution onto one block."""
-    sampler = CompositeSampler([s[0] for s in sources],
-                               [s[1] for s in sources])
-    geo, basis = dst_disc.geo, dst_disc.basis
-    pts = geo.vol_points.reshape(-1, 2)
-    vals = sampler.states(pts).reshape(
-        4, dst_disc.block.ni, dst_disc.block.nj, -1)
-    w = basis.vol_weights
-    rhs = np.einsum("q,qp,ijq,vijq->vijp", w, basis.vol_V, geo.detJ, vals,
-                    optimize=True)
-    return np.einsum("ijpr,vijr->vijp", geo.mass_inv, rhs, optimize=True)
-
-
-def run_fine(case, cfg, coarse, *, on_log=None):
-    """High-order two-grid solve with capturing confined to the patch."""
     flag_pts = flagged_centroids(coarse.disc.block, coarse.flagged)
     grid_file = cfg["overset.grid_file"]
     if grid_file:
@@ -590,7 +530,6 @@ def run_fine(case, cfg, coarse, *, on_log=None):
     invariants = {
         "flux_routing": {d.block.name: d.flux_name for d in discs},
         "containment_checked": False,
-        "background_checked_iterations": 0,
     }
     routing_ok = (discs[0].flux_name == cfg["solver.background_flux"] and
                   (len(discs) == 1 or
@@ -601,73 +540,56 @@ def run_fine(case, cfg, coarse, *, on_log=None):
                             f"{cfg['solver.overset_flux']}, got "
                             f"{invariants['flux_routing']}")
 
-    monitor = _BackgroundMonitor(discs[0])
+    # the background gets the admissibility guard only, never a limiter
+    stabs = [Stabilizer(mode="off", positivity=True)]
+    assembly = None
+    if ov_block is not None:
+        # containment: every flagged coarse cell must lie inside the patch
+        inside = points_in_footprint(ov_block, flag_pts)
+        if not inside.all():
+            x, y = flag_pts[~inside][0]
+            raise AssemblyError(
+                f"containment violated: flagged coarse cell at ({x:.3f}, "
+                f"{y:.3f}) lies outside the aligned patch")
+        invariants["containment_checked"] = True
+        assembly = OversetAssembly(
+            discs[0], discs[1], hole_margin=cfg["overset.hole_margin"],
+            fringe_width=cfg["overset.fringe_width"],
+            ov_fringe_rings=cfg["overset.fringe_rings"])
+        stabs.append(Stabilizer(mode="indicator",
+                                variables=_indicator_vars(cfg),
+                                threshold=cfg["stabilization.threshold"],
+                                tvb_m=cfg["stabilization.tvb_m"],
+                                positivity=True))
 
-    if ov_block is None:
-        # no shock was flagged: a single-block smooth solve suffices
-        system = System(discs, limiter=lambda cl: monitor(cl[0]))
-        coeffs = _initial_fine_state(case, cfg, discs, coarse)
-        march = march_to_steady(system, coeffs, on_log=on_log,
-                                **_march_config(cfg, "fine"))
-        if march.outcome == "diverged":
-            raise DivergenceError("fine stage diverged (no-patch case)")
-        invariants["background_checked_iterations"] = \
-            monitor.checked_iterations
-        invariants["background_guard_activations"] = \
-            monitor.guard_activations
-        invariants["background_limiter_activations"] = 0
-        invariants["background_final_flags"] = _check_background_clean(
-            discs[0], coeffs[0], _indicator_vars(cfg),
-            cfg["stabilization.threshold"])
-        cell = math.sqrt(float(np.median(discs[0].geo.element_area)))
-        return FineResult(discs, coeffs, None, march, None, invariants, cell)
-
-    # containment: every flagged coarse cell must lie inside the patch
-    inside = points_in_footprint(ov_block, flag_pts)
-    if not inside.all():
-        x, y = flag_pts[~inside][0]
-        raise AssemblyError(
-            f"containment violated: flagged coarse cell at ({x:.3f}, "
-            f"{y:.3f}) lies outside the aligned patch")
-    invariants["containment_checked"] = True
-
-    assembly = OversetAssembly(discs[0], discs[1],
-                               hole_margin=cfg["overset.hole_margin"],
-                               fringe_width=cfg["overset.fringe_width"],
-                               ov_fringe_rings=cfg["overset.fringe_rings"])
-    ov_stab = Stabilizer(mode="indicator", variables=_indicator_vars(cfg),
-                         threshold=cfg["stabilization.threshold"],
-                         tvb_m=cfg["stabilization.tvb_m"], positivity=True)
-
-    # the limiter hook binds the stabilizer to the patch block only; the
-    # background gets the attestation counter, never a limiter
-    def limiter(coeffs_list):
-        ov_stab(discs[1], coeffs_list[1])
-        monitor(coeffs_list[0])
-
-    system = System(discs, transfer=assembly.transfer, limiter=limiter)
-    coeffs = _initial_fine_state(case, cfg, discs, coarse)
+    system = System(discs,
+                    transfer=None if assembly is None else assembly.transfer,
+                    limiter=make_limiter_hook(discs, stabs))
+    coeffs = [project_between(seed, d) for d in discs]
     march = march_to_steady(system, coeffs, on_log=on_log,
                             **_march_config(cfg, "fine"))
     if march.outcome == "diverged":
         raise DivergenceError(
             f"fine stage diverged after {march.iterations} iterations "
             f"(residual {march.residual:.3e})")
-    invariants["background_checked_iterations"] = monitor.checked_iterations
-    invariants["background_guard_activations"] = monitor.guard_activations
+    invariants["background_checked_iterations"] = march.iterations
+    invariants["background_guard_activations"] = stabs[0].guard_activations
     invariants["background_limiter_activations"] = 0
-    invariants["overset_guard_activations"] = ov_stab.guard_activations
+    if assembly is not None:
+        invariants["overset_guard_activations"] = stabs[1].guard_activations
     invariants["background_final_flags"] = _check_background_clean(
         discs[0], coeffs[0], _indicator_vars(cfg),
         cfg["stabilization.threshold"])
 
-    cell = math.sqrt(float(np.median(discs[1].geo.element_area)))
-    sampler = CompositeSampler([discs[1], discs[0]], [coeffs[1], coeffs[0]])
-    measurement = measure_stem(
-        sampler, case, cell_size=cell,
-        n_lines=cfg["measurement.n_lines"], nx=cfg["measurement.nx"],
-        vertical_tol_deg=cfg["measurement.vertical_tol_deg"],
-        grad_floor=cfg["measurement.grad_floor"])
+    cell = math.sqrt(float(np.median(discs[-1].geo.element_area)))
+    measurement = None
+    if assembly is not None:
+        measurement = measure_stem(
+            CompositeSampler(discs[::-1], coeffs[::-1]), case,
+            cell_size=cell, n_lines=cfg["measurement.n_lines"],
+            nx=cfg["measurement.nx"],
+            vertical_tol_deg=cfg["measurement.vertical_tol_deg"],
+            grad_floor=cfg["measurement.grad_floor"])
     return FineResult(discs, coeffs, assembly, march, measurement,
                       invariants, cell)
 
@@ -727,7 +649,10 @@ def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
 
     The run directory is keyed by a digest of the physics configuration;
     a directory holding a checksum-clean manifest is trusted and reused
-    unless `reuse` is False.
+    unless `reuse` is False.  An impulsive start seeds the fine stage
+    from the coarse solution.  A restart (``case.init=restart:<dir>``)
+    reads the checkpoint once and seeds both stages from it, the refined
+    patch taking priority where the checkpointed blocks overlap.
     """
     case = case_from_config(cfg)
     if run_dir is None:
@@ -751,20 +676,12 @@ def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
                        f"wave {wave:.2f}  dt {dt:.2e}")
         return log
 
-    seed_coeffs = None
+    seed, seed_coeffs = None, None
     if case.restart_path is not None:
-        src_discs, src_coeffs, _ = load_fine_checkpoint(case.restart_path,
-                                                        case.gas)
-        ni, nj = case.coarse_grid
-        coarse_block = build_wedge_grid(case, ni, nj)
-        coarse_disc = Discretization(coarse_block,
-                                     Basis(cfg["solver.coarse_order"]),
-                                     case.gas,
-                                     flux=cfg["solver.background_flux"],
-                                     bc_state=case.free_stream())
-        sources = list(zip(src_discs, src_coeffs))
-        sources.reverse()
-        seed_coeffs = _project_composite(sources, coarse_disc)
+        discs, coeffs = load_fine_checkpoint(case.restart_path, case.gas)
+        # the refined patch is the preferred donor where the blocks overlap
+        seed = CompositeSampler(discs[::-1], coeffs[::-1])
+        seed_coeffs = project_between(seed, _coarse_disc(case, cfg))
 
     coarse = run_coarse(case, cfg, seed_coeffs=seed_coeffs,
                         on_log=log_stage("coarse"))
@@ -784,7 +701,9 @@ def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
                             title="coarse stage solution")
         manifest.record(run_dir / "coarse.vtk")
 
-    fine = run_fine(case, cfg, coarse, on_log=log_stage("fine"))
+    if seed is None:
+        seed = CompositeSampler([coarse.disc], [coarse.coeffs])
+    fine = run_fine(case, cfg, coarse, seed, on_log=log_stage("fine"))
     artifacts.write_residual_csv(run_dir / "fine_residual.csv",
                                  fine.march.history)
     manifest.record(run_dir / "fine_residual.csv")
@@ -844,13 +763,9 @@ def make_sweep_runner(base_cfg, *, reuse=True, on_log=None):
         m = summary.measurement
         if m["classification"] == "none":
             raise MeasurementError("no shock system detected")
-        meas = _SummaryMeasurement(m)
+        tp = m.get("triple_point")
+        meas = StemMeasurement(m["classification"],
+                               m.get("stem_height_ratio"),
+                               tuple(tp) if tp else None, {})
         return meas, str(summary.checkpoint)
     return runner
-
-
-class _SummaryMeasurement:
-    def __init__(self, doc):
-        self.classification = doc["classification"]
-        self.stem_height_ratio = doc.get("stem_height_ratio")
-        self.triple_point = doc.get("triple_point")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mesh
 from .errors import ConfigError, MeasurementError
-from .gas import GasModel, conserved
+from .gas import GasModel, free_stream
 
 X_LE_FACTOR = 0.4          # leading edge position in channel heights
 CHANNEL_HEIGHT = 1.0
@@ -71,11 +71,7 @@ class FlowCase:
         return None
 
     def free_stream(self):
-        g = self.gas
-        # reference state: unit density, unit sound speed
-        rho, p = 1.0, 1.0 / g.gamma
-        u = self.mach * math.sqrt(g.gamma * p / rho)
-        return conserved(rho, u, 0.0, p, g)
+        return free_stream(self.mach, self.gas)
 
 
 def wedge_geometry(case):
@@ -192,13 +188,19 @@ def _front_points(sampler, case, y_lines, nx, x_lo, x_hi, grad_floor):
     return np.array(pts), np.array(strengths)
 
 
-def _tls_line(pts):
-    """Total-least-squares line through points: (point, direction, rms)."""
+def tls_line(pts):
+    """Total-least-squares line through points: (point, direction, rms).
+
+    The direction is a unit vector pointing toward +x (toward +y when
+    vertical).
+    """
     ctr = pts.mean(axis=0)
     d = pts - ctr
-    _, sv, vt = np.linalg.svd(d, full_matrices=False)
+    _, _, vt = np.linalg.svd(d, full_matrices=False)
     direction = vt[0]
-    resid = abs(d @ np.array([-direction[1], direction[0]]))
+    if direction[0] < 0 or (direction[0] == 0 and direction[1] < 0):
+        direction = -direction
+    resid = d @ np.array([-direction[1], direction[0]])
     return ctr, direction, float(np.sqrt(np.mean(resid ** 2)))
 
 
@@ -237,15 +239,15 @@ def measure_stem(sampler, case, *, cell_size, n_lines=120, nx=1200,
     best = None
     for split in range(4, len(pts) - 4):
         lo, hi = pts[:split], pts[split:]
-        _, d_lo, r_lo = _tls_line(lo)
-        _, d_hi, r_hi = _tls_line(hi)
+        _, d_lo, r_lo = tls_line(lo)
+        _, d_hi, r_hi = tls_line(hi)
         sse = r_lo ** 2 * len(lo) + r_hi ** 2 * len(hi)
         if best is None or sse < best[0]:
             best = (sse, split, d_lo, d_hi)
     _, split, d_lo, d_hi = best
     lo, hi = pts[:split], pts[split:]
-    c_lo, d_lo, r_lo = _tls_line(lo)
-    c_hi, d_hi, r_hi = _tls_line(hi)
+    c_lo, d_lo, r_lo = tls_line(lo)
+    c_hi, d_hi, r_hi = tls_line(hi)
     ang_lo = _angle_from_vertical_deg(d_lo)
     ang_hi = _angle_from_vertical_deg(d_hi)
     diag.update(split_height=float(pts[split, 1]),
@@ -253,7 +255,7 @@ def measure_stem(sampler, case, *, cell_size, n_lines=120, nx=1200,
                 upper_angle_from_vertical_deg=ang_hi,
                 lower_rms=r_lo, upper_rms=r_hi)
 
-    one_line, d_all, r_all = _tls_line(pts)
+    one_line, d_all, r_all = tls_line(pts)
     diag["single_line_rms"] = r_all
 
     def height_at_wall_intersection():

@@ -1,5 +1,8 @@
+import json
+import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -10,6 +13,39 @@ def _run(*argv):
     proc = subprocess.run([sys.executable, "-m", "machstem", *argv],
                           capture_output=True, text=True)
     return proc
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+# records the thread variables at the moment numpy is first imported
+PIN_PROBE = textwrap.dedent("""
+    import importlib.abc, json, os, sys
+
+    VARS = %r
+    seen = {}
+
+    class Probe(importlib.abc.MetaPathFinder):
+        def find_spec(self, name, path=None, target=None):
+            if name == "numpy" and not seen:
+                seen.update({v: os.environ.get(v) for v in VARS})
+            return None
+
+    sys.meta_path.insert(0, Probe())
+    import machstem.cli
+    assert "numpy" not in sys.modules, "importing machstem.cli loaded numpy"
+    assert machstem.cli.main(["relations", "--mach", "3"]) == 0
+    print(json.dumps(seen))
+""")
+
+
+def test_cli_pins_threads_before_numpy_loads():
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", PIN_PROBE % (THREAD_VARS,)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {v: "1" for v in THREAD_VARS}
 
 
 def test_relations_output():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from machstem.basis import Basis, FACE_W, FACE_E, FACE_S, FACE_N
 from machstem.dg import Discretization
@@ -68,6 +69,33 @@ def test_projection_accuracy_improves_with_order():
         errs.append(np.linalg.norm(disc.l2_error(disc.project(fn), fn)))
     errs = np.array(errs)
     assert np.all(errs[1:] < 0.35 * errs[:-1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(order=st.integers(1, 4), ni=st.integers(1, 4), nj=st.integers(1, 4),
+       origin=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       size=st.tuples(st.floats(0.2, 1.5), st.floats(0.2, 1.5)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_projection_reproduces_tensor_polynomials(order, ni, nj, origin,
+                                                  size, seed):
+    """On an affine (Cartesian) block every polynomial of degree <= N in
+    each coordinate lies in the modal space, so projecting it is exact."""
+    xs = origin[0] + size[0] * np.linspace(0.0, 1.0, ni + 1)
+    ys = origin[1] + size[1] * np.linspace(0.0, 1.0, nj + 1)
+    verts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+    disc = Discretization(GridBlock(verts), Basis(order), GAS)
+    coef = np.random.default_rng(seed).uniform(
+        -1.0, 1.0, (4, order + 1, order + 1))
+
+    def poly(x, y):
+        return np.stack([np.polynomial.polynomial.polyval2d(x, y, c)
+                         for c in coef])
+
+    pts = disc.geo.vol_points
+    exact = poly(pts[..., 0], pts[..., 1])
+    got = disc.evaluate(disc.project(poly))
+    assert np.allclose(got, exact, rtol=0.0,
+                       atol=1e-11 * max(1.0, np.abs(exact).max()))
 
 
 def periodic_vortex_disc(n, order, scale=1.0, distort=True):

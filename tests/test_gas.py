@@ -19,7 +19,8 @@ def test_pressure_quiescent():
 
 def test_free_stream_construction():
     q = gas.free_stream(3.0, GAS)
-    assert np.allclose(q, [1.4, 4.2, 0.0, 8.8])
+    # rho = 1, p = 1/gamma: E = 1/(gamma (gamma - 1)) + M^2/2 = 44/7
+    assert np.allclose(q, [1.0, 3.0, 0.0, 44.0 / 7.0])
     assert gas.sound_speed(q, GAS) == pytest.approx(1.0)
     assert gas.max_wave_speed(q, GAS) == pytest.approx(4.0)
 
@@ -27,8 +28,9 @@ def test_free_stream_construction():
 def test_flux_free_stream():
     q = gas.free_stream(3.0, GAS)
     F, G = gas.flux(q, GAS)
-    assert np.allclose(F, [4.2, 13.6, 0.0, 29.4], atol=1e-12)
-    assert np.allclose(G, [0.0, 0.0, 1.0, 0.0], atol=1e-12)
+    # p = 5/7 and E + p = 7
+    assert np.allclose(F, [3.0, 68.0 / 7.0, 0.0, 21.0], atol=1e-12)
+    assert np.allclose(G, [0.0, 0.0, 5.0 / 7.0, 0.0], atol=1e-12)
 
 
 def test_primitive_conserved_roundtrip():
@@ -86,4 +88,4 @@ def test_validate_rejects_negative_density_and_reports_location():
 
 def test_validate_passes_and_returns_pressure():
     q = gas.free_stream(3.0, GAS)
-    assert gas.validate(q, GAS) == pytest.approx(1.0)
+    assert gas.validate(q, GAS) == pytest.approx(1.0 / 1.4)

@@ -9,7 +9,8 @@ from machstem.mesh import GridBlock, TAG_INTERFACE, TAG_INFLOW, TAG_OUTFLOW
 from machstem.overset import (PointLocator, points_in_footprint,
                               covered_elements, erosion_depth,
                               classify_background, overset_fringe,
-                              TransferOp, OversetAssembly, project_between,
+                              TransferOp, OversetAssembly, CompositeSampler,
+                              project_between,
                               STATUS_ACTIVE, STATUS_FRINGE, STATUS_HOLE)
 
 GAS = GasModel()
@@ -236,6 +237,31 @@ def test_free_stream_residual_zero_through_assembly():
     assert np.max(np.abs(r_ov)) < 1e-11
 
 
+def test_transfer_matches_projection_of_donor_solution():
+    """Each fringe receives exactly the L2 projection of the donor
+    solution, also when that solution is discontinuous between donor
+    elements."""
+    bg = cartesian_block(20, 20)
+    ov = sheared_block(14, 14, 0.18, 0.78, 0.2, 0.8, shear=0.05,
+                       tags=interface_tags())
+    bgd = Discretization(bg, Basis(2), GAS)
+    ovd = Discretization(ov, Basis(3), GAS)
+    asm = OversetAssembly(bgd, ovd)
+    rng = np.random.default_rng(4)
+    bg_c = rng.normal(size=(4, 20, 20, bgd.basis.n_modes))
+    ov_c = rng.normal(size=(4, 14, 14, ovd.basis.n_modes))
+    for op, donor_c, recv_c in ((asm.to_bg, ov_c, bg_c),
+                                (asm.to_ov, bg_c, ov_c)):
+        fringe = np.zeros(recv_c.shape[1:3], bool)
+        fringe[op.fringe_idx[:, 0], op.fringe_idx[:, 1]] = True
+        ref = project_between(CompositeSampler([op.donor], [donor_c]),
+                              op.receiver)
+        out = recv_c.copy()
+        op(donor_c, out)
+        assert np.allclose(out[:, fringe], ref[:, fringe], atol=1e-12)
+        assert np.array_equal(out[:, ~fringe], recv_c[:, ~fringe])
+
+
 def test_project_between_preserves_polynomials():
     src = Discretization(cartesian_block(8, 8), Basis(2), GAS)
     dst = Discretization(cartesian_block(13, 11), Basis(3), GAS)
@@ -245,8 +271,29 @@ def test_project_between_preserves_polynomials():
         return np.stack([f, f * 0.1, f * 0.2, f + 1.0])
 
     src_c = src.project(poly)
-    dst_c = project_between(src, src_c, dst)
+    dst_c = project_between(CompositeSampler([src], [src_c]), dst)
     assert np.linalg.norm(dst.l2_error(dst_c, poly)) < 1e-11
+
+    # two overlapping sources: the first one listed wins in the overlap
+    patch = Discretization(cartesian_block(4, 4, 0.3, 0.7, 0.3, 0.7),
+                           Basis(2), GAS)
+
+    def other(x, y):
+        return poly(x, y) + np.stack([1.0 - x * y, 0.5 * x, y, x + y])
+
+    patch_c = patch.project(other)
+    dst = Discretization(cartesian_block(10, 10), Basis(2), GAS)
+    inside = np.zeros((10, 10), bool)
+    inside[3:7, 3:7] = True              # destination cells under the patch
+    both = project_between(
+        CompositeSampler([patch, src], [patch_c, src_c]), dst)
+    assert np.allclose(both[:, inside], dst.project(other)[:, inside],
+                       atol=1e-11)
+    assert np.allclose(both[:, ~inside], dst.project(poly)[:, ~inside],
+                       atol=1e-11)
+    reverse = project_between(
+        CompositeSampler([src, patch], [src_c, patch_c]), dst)
+    assert np.allclose(reverse, dst.project(poly), atol=1e-11)
 
 
 def test_project_between_clamps_marginal_points():
@@ -257,7 +304,7 @@ def test_project_between_clamps_marginal_points():
                          Basis(1), GAS)
     q = free_stream(2.0, GAS)
     src_c = src.project_constant(q)
-    dst_c = project_between(src, src_c, dst, clamp=True)
+    dst_c = project_between(CompositeSampler([src], [src_c]), dst)
     assert np.allclose(dst_c, dst.project_constant(q), atol=1e-10)
 
 

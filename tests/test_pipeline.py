@@ -1,17 +1,23 @@
+import json
+
 import numpy as np
 import pytest
 
-from machstem import mesh
+from machstem import mesh, pipeline
 from machstem.config import parse_config
 from machstem.errors import AssemblyError
+from machstem.io import verify_manifest
 from machstem.pipeline import (
     ShockSegment,
     build_aligned_grid,
     finish_patch,
     fit_shock_paths,
     run_key,
+    run_pipeline,
 )
-from machstem.wedge import FlowCase, top_profile, wedge_geometry
+from machstem.timestepping import load_checkpoint
+from machstem.wedge import (FlowCase, StemMeasurement, top_profile,
+                            wedge_geometry)
 
 CELL = 0.02
 
@@ -180,3 +186,82 @@ def test_run_key_tracks_physics_sections_only():
     assert run_key(a) == run_key(b)  # output settings don't change the key
     assert run_key(a) != run_key(c)
     assert len(run_key(a)) == 12
+
+
+# the tiny regular-reflection case of the benchmark's smoke-rr workload
+# (16 deg is well below the M=3 von Neumann angle of 19.656 deg)
+SMOKE = {
+    "case.wedge_angle_deg": "16",
+    "case.coarse_grid": "40x20",
+    "case.fine_background_grid": "20x10",
+    "case.overset_grid": "24x16",
+    "solver.fine_order": "2",
+    "solver.coarse_max_iterations": "300",
+    "solver.fine_max_iterations": "100",
+    "solver.cfl_ramp_iters": "50",
+    "solver.stall_window": "0",
+    "solver.log_every": "0",
+    "measurement.n_lines": "24",
+    "measurement.nx": "200",
+    "output.vtk": "0",
+}
+
+
+def test_pipeline_smoke_rr_then_restart(tmp_path, monkeypatch):
+    first = run_pipeline(parse_config(None, overrides=SMOKE),
+                         run_dir=tmp_path / "impulsive", reuse=False)
+    assert first.measurement["classification"] == "RR"
+    assert verify_manifest(first.run_dir)[1] == []
+    inv = first.invariants
+    assert inv["containment_checked"]
+    assert inv["background_checked_iterations"] == 100
+    assert inv["background_final_flags"] == 0
+
+    loads = []
+
+    def counting_load(path):
+        loads.append(path)
+        return load_checkpoint(path)
+
+    monkeypatch.setattr(pipeline, "load_checkpoint", counting_load)
+    # the restart starts from a settled state, so a short march will do
+    restart = dict(SMOKE, **{"case.init": f"restart:{first.checkpoint}",
+                             "solver.coarse_max_iterations": "50",
+                             "solver.fine_max_iterations": "30"})
+    again = run_pipeline(parse_config(None, overrides=restart),
+                         run_dir=tmp_path / "restart", reuse=False)
+    assert again.measurement["classification"] in ("RR", "MR")
+    assert verify_manifest(again.run_dir)[1] == []
+    assert len(loads) == 1
+
+
+def test_sweep_runner_measurement_from_summary(tmp_path, monkeypatch):
+    doc = {"classification": "MR", "stem_height_ratio": 0.2,
+           "triple_point": [1.1, 0.2]}
+    monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg, **kw:
+                        pipeline.RunSummary(tmp_path, doc, {}, "stalled",
+                                            "stalled", True))
+    runner = pipeline.make_sweep_runner(parse_config(None))
+    meas, ckpt = runner(FlowCase(mach=3.0, wedge_angle_deg=24.0), None)
+    assert meas == StemMeasurement("MR", 0.2, (1.1, 0.2), {})
+    assert ckpt == str(tmp_path / "checkpoint")
+
+
+def test_pipeline_without_shock_marches_background_alone(tmp_path):
+    # a flat wedge leaves the free stream uniform: nothing is flagged, so
+    # the fine stage has no patch and measures nothing
+    cfg = parse_config(None, overrides=dict(SMOKE, **{
+        "case.wedge_angle_deg": "0",
+        "solver.coarse_max_iterations": "20",
+        "solver.fine_max_iterations": "10"}))
+    summary = run_pipeline(cfg, run_dir=tmp_path, reuse=False)
+    assert summary.measurement == {"classification": "none"}
+    assert not summary.invariants["containment_checked"]
+    assert "overset_guard_activations" not in summary.invariants
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert summary.fine_outcome == "converged"
+    assert summary.invariants["background_checked_iterations"] == \
+        result["fine_iterations"]
+    assert verify_manifest(tmp_path)[1] == []
+    assert sorted(p.name for p in summary.checkpoint.iterdir()) == \
+        ["checkpoint.json", "coeffs_background.npy"]
