@@ -20,8 +20,6 @@ import numpy as np
 from numpy.polynomial import legendre as leg
 
 FACE_W, FACE_E, FACE_S, FACE_N = 0, 1, 2, 3
-# (opposite face, axis, direction) used when pairing structured neighbors
-OPPOSITE = {FACE_W: FACE_E, FACE_E: FACE_W, FACE_S: FACE_N, FACE_N: FACE_S}
 
 
 def _legendre_1d(order, x):
@@ -81,6 +79,9 @@ class Basis:
         self.face_V = {}
         for f, (fr, fs) in coords.items():
             self.face_V[f] = self.eval_modes(fr, fs)
+        # modes at every volume and face quadrature node
+        self.node_V = np.vstack([self.vol_V] +
+                                [self.face_V[f] for f in coords])
 
     def eval_modes(self, r, s, gradients=False):
         """Basis (and optionally gradient) evaluation matrices at (r, s).

@@ -13,11 +13,14 @@ element and subtracted from the right, so conservation holds to round-off.
 Coefficient layout: ``(4, ni, nj, n_modes)`` — variable first, element
 grid, then modal index.
 
-Boundary conditions come from the block's per-face tag arrays:
-inflow (free-stream Dirichlet through the flux), outflow (zero-gradient
-copy), slip wall (normal-velocity mirror), interface (copy; the overset
-layer owns those faces by overwriting fringe coefficients), and periodic
-(wrap-around pairing of opposite sides).
+Which element lies across each face comes from the block's face table
+(``GridBlock.face_pairs``): interior faces, and periodic sides, which
+are whole sides in opposite pairs, each get one flux per pair. The
+remaining boundary sides (``GridBlock.boundary_sides``) take a ghost
+state from the per-face tag arrays: inflow (free-stream Dirichlet
+through the flux), outflow (zero-gradient copy), slip wall
+(normal-velocity mirror), and interface (copy; the overset layer owns
+those faces by overwriting fringe coefficients).
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ import numpy as np
 from . import gas as gasmod
 from .basis import FACE_W, FACE_E, FACE_S, FACE_N
 from .fluxes import get_flux
-from .mesh import (TAG_INFLOW, TAG_OUTFLOW, TAG_WALL, TAG_INTERFACE,
-                   TAG_PERIODIC)
+from .mesh import TAG_INFLOW, TAG_OUTFLOW, TAG_WALL
 
 
 class Discretization:
@@ -114,10 +116,10 @@ class Discretization:
     def _ghost_states(self, q_in, face, nrm):
         """Ghost trace for one boundary side from the tag array.
 
-        q_in: (4, nface, nq) interior trace along the side; nrm: (nface, 2)
-        outward unit normals.
+        q_in: (4, ni, nj, nq) interior trace of the side's elements, one of
+        ni, nj being 1; nrm: (ni, nj, 2) outward unit normals.
         """
-        tags = self.block.tags[face]
+        tags = self.block.tags[face].reshape(q_in.shape[1:3])
         ghost = q_in.copy()  # outflow / interface default: zero gradient
         out = tags == TAG_OUTFLOW
         if np.any(out):
@@ -156,7 +158,7 @@ class Discretization:
     # ---- residual ----------------------------------------------------
     def residual(self, coeffs, mask_inactive=True):
         """Semi-discrete rate of change of the modal coefficients."""
-        basis, geo, gas = self.basis, self.geo, self.gas
+        geo, gas = self.geo, self.gas
         vals = self.evaluate(coeffs)
         F, G = gasmod.flux(vals, gas)
         A = F * geo.y_s[None] - G * geo.x_s[None]
@@ -165,67 +167,29 @@ class Discretization:
                + np.einsum("qp,vijq->vijp", self._vol_WDs, B, optimize=True))
 
         tr = self.face_traces(coeffs)
+        v = slice(None)  # the variable axis, ahead of an element selection
 
-        def surf(face, fhat_sj, sel):
+        def surf(face, sel, fhat_sj):
             """Accumulate -(surface integral) of fhat*sJ over one face of
             the selected elements."""
-            rhs[(slice(None),) + sel] -= np.einsum(
-                "qp,vijq->vijp", self._face_W[face], fhat_sj, optimize=True)
+            rhs[(v, *sel)] -= np.einsum("qp,vijq->vijp", self._face_W[face],
+                                        fhat_sj, optimize=True)
 
-        # interior vertical faces: E of (i,j) against W of (i+1,j)
-        if self.block.ni > 1:
-            n = geo.face_normal[FACE_E][:-1]
-            fhat = self.flux(tr[FACE_E][:, :-1], tr[FACE_W][:, 1:],
+        # one flux per face pair, added to one side, subtracted from the other
+        for fa, sa, fb, sb in self.block.face_pairs:
+            n = geo.face_normal[fa][sa]
+            fhat = self.flux(tr[fa][(v, *sa)], tr[fb][(v, *sb)],
                              n[..., 0, None], n[..., 1, None], gas)
-            fhat_sj = fhat * geo.face_sj[FACE_E][None, :-1, :, None]
-            surf(FACE_E, fhat_sj, (slice(None, -1), slice(None)))
-            surf(FACE_W, -fhat_sj, (slice(1, None), slice(None)))
+            fhat_sj = fhat * geo.face_sj[fa][sa][None, ..., None]
+            surf(fa, sa, fhat_sj)
+            surf(fb, sb, -fhat_sj)
 
-        # interior horizontal faces: N of (i,j) against S of (i,j+1)
-        if self.block.nj > 1:
-            n = geo.face_normal[FACE_N][:, :-1]
-            fhat = self.flux(tr[FACE_N][:, :, :-1], tr[FACE_S][:, :, 1:],
+        for face, sel in self.block.boundary_sides:
+            n = geo.face_normal[face][sel]
+            q_in = tr[face][(v, *sel)]
+            fhat = self.flux(q_in, self._ghost_states(q_in, face, n),
                              n[..., 0, None], n[..., 1, None], gas)
-            fhat_sj = fhat * geo.face_sj[FACE_N][None, :, :-1, None]
-            surf(FACE_N, fhat_sj, (slice(None), slice(None, -1)))
-            surf(FACE_S, -fhat_sj, (slice(None), slice(1, None)))
-
-        # boundary sides
-        for face, sel in ((FACE_W, (0, slice(None))),
-                          (FACE_E, (-1, slice(None))),
-                          (FACE_S, (slice(None), 0)),
-                          (FACE_N, (slice(None), -1))):
-            tags = self.block.tags[face]
-            nrm = geo.face_normal[face][sel]
-            q_in = tr[face][(slice(None),) + sel]
-            if np.all(tags == TAG_PERIODIC):
-                continue  # handled pairwise below
-            ghost = self._ghost_states(q_in, face, nrm)
-            fhat = self.flux(q_in, ghost, nrm[:, None, 0],
-                             nrm[:, None, 1], gas)
-            fhat_sj = fhat * geo.face_sj[face][sel][None, :, None]
-            rhs[(slice(None),) + sel] -= np.einsum(
-                "qp,viq->vip", self._face_W[face], fhat_sj, optimize=True)
-
-        # periodic wrap faces (whole sides only)
-        if np.all(self.block.tags[FACE_E] == TAG_PERIODIC):
-            n = geo.face_normal[FACE_E][-1]
-            fhat = self.flux(tr[FACE_E][:, -1], tr[FACE_W][:, 0],
-                             n[:, None, 0], n[:, None, 1], gas)
-            fhat_sj = fhat * geo.face_sj[FACE_E][-1][None, :, None]
-            rhs[:, -1] -= np.einsum("qp,viq->vip", self._face_W[FACE_E],
-                                    fhat_sj, optimize=True)
-            rhs[:, 0] -= np.einsum("qp,viq->vip", self._face_W[FACE_W],
-                                   -fhat_sj, optimize=True)
-        if np.all(self.block.tags[FACE_N] == TAG_PERIODIC):
-            n = geo.face_normal[FACE_N][:, -1]
-            fhat = self.flux(tr[FACE_N][:, :, -1], tr[FACE_S][:, :, 0],
-                             n[:, None, 0], n[:, None, 1], gas)
-            fhat_sj = fhat * geo.face_sj[FACE_N][:, -1][None, :, None]
-            rhs[:, :, -1] -= np.einsum("qp,viq->vip", self._face_W[FACE_N],
-                                       fhat_sj, optimize=True)
-            rhs[:, :, 0] -= np.einsum("qp,viq->vip", self._face_W[FACE_S],
-                                      -fhat_sj, optimize=True)
+            surf(face, sel, fhat * geo.face_sj[face][sel][None, ..., None])
 
         rhs = np.einsum("ijpr,vijr->vijp", self.geo.mass_inv, rhs,
                         optimize=True)

@@ -9,7 +9,16 @@ quadrature exactness (uniform flow produces a zero residual to round-off).
 
 Boundary conditions are carried as one integer tag per boundary face on
 each of the four sides, which lets a single side mix tags (the channel
-top wall ahead of a shoulder, outflow behind it).
+top wall ahead of a shoulder, outflow behind it). Periodic is the
+exception: it applies to whole sides, in opposite pairs.
+
+The block is the only place that knows which element lies across each
+face. It builds that relation once from its tags, as face pairs
+``(face_a, sel_a, face_b, sel_b)`` -- face ``face_a`` of the elements
+``sel_a`` touches face ``face_b`` of the elements ``sel_b``, with
+``face_a`` the E or N face -- and tagged boundary sides ``(face, sel)``.
+Every ``sel`` is a tuple of slices over the element indices ``(i, j)``,
+and every element face lies in exactly one pair or one boundary side.
 
 Grid file format (plain text): first line ``nvi nvj`` (vertex counts),
 then ``nvi*nvj`` lines of ``x y`` in row-major order (i outer, j inner).
@@ -28,8 +37,8 @@ TAG_WALL = 3
 TAG_INTERFACE = 4   # overset outer boundary: data arrives by transfer
 TAG_PERIODIC = 5
 
-TAG_NAMES = {TAG_INFLOW: "inflow", TAG_OUTFLOW: "outflow", TAG_WALL: "wall",
-             TAG_INTERFACE: "interface", TAG_PERIODIC: "periodic"}
+SIDE_NAMES = {FACE_W: "west", FACE_E: "east", FACE_S: "south",
+              FACE_N: "north"}
 
 
 class GridBlock:
@@ -46,27 +55,51 @@ class GridBlock:
         self.ni = vertices.shape[0] - 1
         self.nj = vertices.shape[1] - 1
         self.n_elements = self.ni * self.nj
-        if tags is None:
-            tags = {}
-        self.tags = {
-            FACE_W: np.full(self.nj, tags.get(FACE_W, TAG_OUTFLOW), int)
-            if np.isscalar(tags.get(FACE_W, TAG_OUTFLOW))
-            else np.asarray(tags[FACE_W], int).copy(),
-            FACE_E: np.full(self.nj, tags.get(FACE_E, TAG_OUTFLOW), int)
-            if np.isscalar(tags.get(FACE_E, TAG_OUTFLOW))
-            else np.asarray(tags[FACE_E], int).copy(),
-            FACE_S: np.full(self.ni, tags.get(FACE_S, TAG_OUTFLOW), int)
-            if np.isscalar(tags.get(FACE_S, TAG_OUTFLOW))
-            else np.asarray(tags[FACE_S], int).copy(),
-            FACE_N: np.full(self.ni, tags.get(FACE_N, TAG_OUTFLOW), int)
-            if np.isscalar(tags.get(FACE_N, TAG_OUTFLOW))
-            else np.asarray(tags[FACE_N], int).copy(),
-        }
-        for f, n in ((FACE_W, self.nj), (FACE_E, self.nj),
-                     (FACE_S, self.ni), (FACE_N, self.ni)):
-            if self.tags[f].shape != (n,):
-                raise ValueError("tag array length mismatch on a side")
+        tags = {} if tags is None else tags
+        self.tags = {}
+        for face, side in SIDE_NAMES.items():
+            n = self.nj if face in (FACE_W, FACE_E) else self.ni
+            t = tags.get(face, TAG_OUTFLOW)
+            t = np.full(n, t, int) if np.isscalar(t) else np.array(t, int)
+            if t.shape != (n,):
+                raise ValueError(
+                    f"tag array length mismatch on the {side} side")
+            self.tags[face] = t
+        self.face_pairs, self.boundary_sides = self._face_table()
         self._geometry_cache = {}
+
+    def _face_table(self):
+        """Face pairs and tagged boundary sides of the structured grid.
+
+        Interior pairs come first, then one wrap pair per periodic
+        direction; the boundary sides leave periodic sides out.
+        """
+        every, first, last = slice(None), slice(0, 1), slice(-1, None)
+        interior, wraps, sides = [], [], []
+        for lo, hi, n, at in (
+                (FACE_W, FACE_E, self.ni, lambda s: (s, every)),
+                (FACE_S, FACE_N, self.nj, lambda s: (every, s))):
+            if n > 1:
+                interior.append((hi, at(slice(None, -1)),
+                                 lo, at(slice(1, None))))
+            periodic = {}
+            for f in (lo, hi):
+                p = self.tags[f] == TAG_PERIODIC
+                if p.any() and not p.all():
+                    raise ValueError(
+                        f"block {self.name!r}: the {SIDE_NAMES[f]} side is "
+                        "only partly periodic; periodic takes whole sides")
+                periodic[f] = p.all()
+            if periodic[lo] != periodic[hi]:
+                f, g = (lo, hi) if periodic[lo] else (hi, lo)
+                raise ValueError(
+                    f"block {self.name!r}: the {SIDE_NAMES[f]} side is "
+                    f"periodic but the {SIDE_NAMES[g]} side is not")
+            if periodic[lo]:
+                wraps.append((hi, at(last), lo, at(first)))
+            else:
+                sides += [(lo, at(first)), (hi, at(last))]
+        return interior + wraps, sides
 
     # corner fields as (ni, nj) arrays
     @property

@@ -13,7 +13,6 @@ config-keyed run cache.
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -574,9 +573,10 @@ def run_fine(case, cfg, coarse, seed, *, on_log=None):
             f"(residual {march.residual:.3e})")
     invariants["background_checked_iterations"] = march.iterations
     invariants["background_guard_activations"] = stabs[0].guard_activations
-    invariants["background_limiter_activations"] = 0
+    invariants["background_limiter_activations"] = stabs[0].limited_cells
     if assembly is not None:
         invariants["overset_guard_activations"] = stabs[1].guard_activations
+        invariants["overset_limiter_activations"] = stabs[1].limited_cells
     invariants["background_final_flags"] = _check_background_clean(
         discs[0], coeffs[0], _indicator_vars(cfg),
         cfg["stabilization.threshold"])

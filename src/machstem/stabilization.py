@@ -17,6 +17,12 @@ scaled neighbor mean differences, chosen so that data that are exactly
 linear across a uniform grid pass through unchanged. Element means are
 never modified, so the limiter is conservative, and a second application
 is a no-op.
+
+Both see their neighbors through the block's face pairs
+(``GridBlock.face_pairs``), periodic sides included. Across a boundary
+side there is no neighbor: the indicator compares the element's trace
+with itself (zero jump) and the limiter drops that side's constraint
+(one-sided limiting).
 """
 
 from __future__ import annotations
@@ -30,21 +36,13 @@ SQRT3 = np.sqrt(3.0)
 
 
 def _neighbor_traces(disc, traces):
-    """Neighbor trace values seen through each face, boundary faces fall
-    back to the element's own trace (zero jump)."""
-    out = {}
-    for face, opp, shift in ((FACE_E, FACE_W, +1), (FACE_W, FACE_E, -1),
-                             (FACE_N, FACE_S, +1), (FACE_S, FACE_N, -1)):
-        nbr = traces[face].copy()
-        if face == FACE_E:
-            nbr[:, :-1] = traces[opp][:, 1:]
-        elif face == FACE_W:
-            nbr[:, 1:] = traces[opp][:, :-1]
-        elif face == FACE_N:
-            nbr[:, :, :-1] = traces[opp][:, :, 1:]
-        else:
-            nbr[:, :, 1:] = traces[opp][:, :, :-1]
-        out[face] = nbr
+    """Neighbor trace values seen through each face; boundary faces keep
+    the element's own trace (zero jump)."""
+    out = {f: t.copy() for f, t in traces.items()}
+    v = slice(None)
+    for fa, sa, fb, sb in disc.block.face_pairs:
+        out[fa][(v, *sa)] = traces[fb][(v, *sb)]
+        out[fb][(v, *sb)] = traces[fa][(v, *sa)]
     return out
 
 
@@ -101,28 +99,20 @@ def moment_limit(disc, coeffs, flagged, tvb_m=0.0):
     basis = disc.basis
     means = disc.cell_means(coeffs)
 
-    # neighbor means with boundary replication; replicated entries are
-    # marked and later excluded from the minmod (one-sided limiting)
-    mE = np.concatenate([means[:, 1:], means[:, -1:]], axis=1)
-    mW = np.concatenate([means[:, :1], means[:, :-1]], axis=1)
-    mN = np.concatenate([means[:, :, 1:], means[:, :, -1:]], axis=2)
-    mS = np.concatenate([means[:, :, :1], means[:, :, :-1]], axis=2)
-
-    dE = (mE - means) / SQRT3
-    dW = (means - mW) / SQRT3
-    dN = (mN - means) / SQRT3
-    dS = (means - mS) / SQRT3
-    # one-sided at boundaries: drop the missing constraint by copying the
-    # mode itself into that slot
+    # scaled neighbor mean differences per face; a boundary face keeps
+    # the mode itself, which drops that constraint (one-sided limiting)
     c10 = coeffs[:, :, :, basis.mode_lin_r]
     c01 = coeffs[:, :, :, basis.mode_lin_s]
-    dE[:, -1] = c10[:, -1]
-    dW[:, 0] = c10[:, 0]
-    dN[:, :, -1] = c01[:, :, -1]
-    dS[:, :, 0] = c01[:, :, 0]
+    diff = {f: c.copy() for f, c in ((FACE_W, c10), (FACE_E, c10),
+                                     (FACE_S, c01), (FACE_N, c01))}
+    v = slice(None)
+    for fa, sa, fb, sb in disc.block.face_pairs:
+        # face_a is the E or N face, so this is the forward difference
+        diff[fa][(v, *sa)] = diff[fb][(v, *sb)] = (
+            means[(v, *sb)] - means[(v, *sa)]) / SQRT3
 
-    lim10 = _minmod3(c10, dE, dW)
-    lim01 = _minmod3(c01, dN, dS)
+    lim10 = _minmod3(c10, diff[FACE_E], diff[FACE_W])
+    lim01 = _minmod3(c01, diff[FACE_N], diff[FACE_S])
     if tvb_m > 0.0:
         keep = disc.geo.h_max_edge[None] ** 2 * tvb_m
         lim10 = np.where(np.abs(c10) <= keep, c10, lim10)
@@ -134,16 +124,6 @@ def moment_limit(disc, coeffs, flagged, tvb_m=0.0):
     hi = coeffs[:, :, :, basis.modes_high]
     hi[:, sel] = 0.0
     coeffs[:, :, :, basis.modes_high] = hi
-
-
-def _pointwise_eval_matrix(basis):
-    """Modes evaluated at every volume and face quadrature node."""
-    V = getattr(basis, "_pointwise_eval_V", None)
-    if V is None:
-        V = np.vstack([basis.vol_V] + [basis.face_V[f] for f in
-                                       (FACE_W, FACE_E, FACE_S, FACE_N)])
-        basis._pointwise_eval_V = V
-    return V
 
 
 def positivity_guard(disc, coeffs, rho_floor=1e-8, p_floor=1e-10):
@@ -176,7 +156,7 @@ def positivity_guard(disc, coeffs, rho_floor=1e-8, p_floor=1e-10):
             coeffs[:, bad, 0] = 2.0 * state         # mode-0 value is 1/2
             repaired += int(bad.sum())
 
-        V = _pointwise_eval_matrix(disc.basis)
+        V = disc.basis.node_V
         for _ in range(60):
             vals = np.einsum("qp,vijp->vijq", V, coeffs, optimize=True)
             p = pressure(vals, gas)
@@ -195,7 +175,8 @@ class Stabilizer:
     """Per-block limiting policy: indicator-gated, always-on, or off.
 
     Records the most recent indicator field and flag map so drivers can
-    export troubled-cell diagnostics without recomputation.  With
+    export troubled-cell diagnostics without recomputation, and sums the
+    cells it limits over all calls in ``limited_cells``.  With
     ``positivity`` set, the positivity guard runs after the limiter and
     its cell-repair count accumulates in ``guard_activations``.
     """
@@ -213,6 +194,7 @@ class Stabilizer:
         self.rho_floor = rho_floor
         self.p_floor = p_floor
         self.guard_activations = 0
+        self.limited_cells = 0
         self.last_indicator = None
         self.last_flagged = None
 
@@ -227,6 +209,7 @@ class Stabilizer:
                 flagged &= disc.active_mask
                 self.last_indicator = ind
             self.last_flagged = flagged
+            self.limited_cells += int(flagged.sum())
             moment_limit(disc, coeffs, flagged, self.tvb_m)
         if self.positivity:
             self.guard_activations += positivity_guard(

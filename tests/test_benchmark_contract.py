@@ -1,0 +1,40 @@
+"""The benchmark under ``benchmarks/`` reaches into the package by name:
+its tracer replaces functions and methods it looks up as attributes.
+These tests fail as soon as a refactor renames or moves one of them,
+instead of at benchmark time."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_selftest_passes():
+    proc = subprocess.run([sys.executable, str(BENCH / "run.py"),
+                           "--selftest"], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_tracer_wraps_every_layer_and_restores_it():
+    from machstem import dg, fluxes, stabilization, timestepping
+
+    tracing = _load_tracing()
+    before = (dg.Discretization.residual, dict(fluxes.FLUXES),
+              stabilization.moment_limit, timestepping.System.stable_dt)
+    for probe in (tracing.Clock(), tracing.Tracer()):
+        probe.install()
+        probe.uninstall()
+    after = (dg.Discretization.residual, dict(fluxes.FLUXES),
+             stabilization.moment_limit, timestepping.System.stable_dt)
+    assert after == before

@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from machstem.basis import Basis, FACE_W, FACE_E, FACE_S, FACE_N
 from machstem.dg import Discretization
-from machstem.gas import GasModel, free_stream, conserved
-from machstem.mesh import (GridBlock, TAG_INFLOW, TAG_OUTFLOW, TAG_WALL,
-                           TAG_PERIODIC)
+from machstem.gas import (GasModel, conserved, flux as euler_flux,
+                          free_stream, pressure)
+from machstem.mesh import (GridBlock, TAG_INFLOW, TAG_INTERFACE, TAG_OUTFLOW,
+                           TAG_PERIODIC, TAG_WALL)
 from machstem.mms import vortex_ic, vortex_state
 
 GAS = GasModel()
@@ -96,6 +97,90 @@ def test_projection_reproduces_tensor_polynomials(order, ni, nj, origin,
     got = disc.evaluate(disc.project(poly))
     assert np.allclose(got, exact, rtol=0.0,
                        atol=1e-11 * max(1.0, np.abs(exact).max()))
+
+
+def _reference_ghost(q, tag, nx, ny, bc_state):
+    g = q.copy()
+    mn = q[1] * nx + q[2] * ny
+    if tag == TAG_INFLOW:
+        g[:] = bc_state[:, None]
+    elif tag == TAG_WALL:
+        g[1] -= 2.0 * mn * nx
+        g[2] -= 2.0 * mn * ny
+    elif tag == TAG_OUTFLOW:
+        g[1] -= np.minimum(mn, 0.0) * nx
+        g[2] -= np.minimum(mn, 0.0) * ny
+    return g
+
+
+def reference_residual(disc, coeffs):
+    """Loop-per-element residual with its own neighbour rule: the element
+    across each face is found by index arithmetic, wrapped on periodic
+    sides; off the block the face's tag gives the ghost state."""
+    blk, basis, geo = disc.block, disc.basis, disc.geo
+    w1, wq = basis.q1d_weights, basis.vol_weights
+    across = {FACE_W: (-1, 0, FACE_E), FACE_E: (1, 0, FACE_W),
+              FACE_S: (0, -1, FACE_N), FACE_N: (0, 1, FACE_S)}
+    rhs = np.zeros_like(coeffs)
+    for i in range(blk.ni):
+        for j in range(blk.nj):
+            c = coeffs[:, i, j]
+            F, G = euler_flux(c @ basis.vol_V.T, GAS)
+            A = F * geo.y_s[i, j] - G * geo.x_s[i, j]
+            B = -F * geo.y_r[i, j] + G * geo.x_r[i, j]
+            r = (A * wq) @ basis.vol_Dr + (B * wq) @ basis.vol_Ds
+            for face, (di, dj, opp) in across.items():
+                q_in = c @ basis.face_V[face].T
+                nx, ny = geo.face_normal[face][i, j]
+                ii, jj = i + di, j + dj
+                tag = blk.tags[face][j if face in (FACE_W, FACE_E) else i]
+                if (0 <= ii < blk.ni and 0 <= jj < blk.nj
+                        or tag == TAG_PERIODIC):
+                    q_out = (coeffs[:, ii % blk.ni, jj % blk.nj]
+                             @ basis.face_V[opp].T)
+                else:
+                    q_out = _reference_ghost(q_in, tag, nx, ny,
+                                             disc.bc_state)
+                fhat = disc.flux(q_in, q_out, nx, ny, GAS)
+                r -= (fhat * w1 * geo.face_sj[face][i, j]) @ \
+                    basis.face_V[face]
+            rhs[:, i, j] = r @ geo.mass_inv[i, j].T
+    return rhs
+
+
+def random_admissible_state(disc, seed):
+    """Random per-element states with small random higher modes."""
+    rng = np.random.default_rng(seed)
+    shape = (disc.block.ni, disc.block.nj)
+    mean = conserved(rng.uniform(0.8, 1.2, shape),
+                     rng.uniform(-1.5, 1.5, shape),
+                     rng.uniform(-1.5, 1.5, shape),
+                     rng.uniform(0.5, 1.0, shape), GAS)
+    coeffs = 0.02 * rng.standard_normal(
+        (4,) + shape + (disc.basis.n_modes,)) * np.abs(mean)[..., None]
+    coeffs[..., disc.basis.mode_const] = 2.0 * mean
+    vals = np.einsum("qp,vijp->vijq", disc.basis.node_V, coeffs)
+    assert vals[0].min() > 0.0 and pressure(vals, GAS).min() > 0.0
+    return coeffs
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("flux_name", ["lax_friedrichs", "slau2"])
+@pytest.mark.parametrize("tags", [
+    {FACE_W: TAG_INFLOW, FACE_E: TAG_OUTFLOW, FACE_S: TAG_WALL,
+     FACE_N: [TAG_INFLOW, TAG_OUTFLOW, TAG_WALL, TAG_INTERFACE, TAG_WALL]},
+    {f: TAG_PERIODIC for f in (FACE_W, FACE_E, FACE_S, FACE_N)},
+], ids=["mixed", "periodic"])
+def test_residual_matches_loop_per_element_reference(order, flux_name, tags):
+    """The face table pairs every face with the element, wrap or ghost
+    that an element-by-element index rule finds."""
+    blk = wavy_block(5, 4, tags=tags)
+    disc = Discretization(blk, Basis(order), GAS, flux=flux_name,
+                          bc_state=free_stream(3.0, GAS))
+    coeffs = random_admissible_state(disc, seed=11 * order)
+    got = disc.residual(coeffs)
+    ref = reference_residual(disc, coeffs)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def periodic_vortex_disc(n, order, scale=1.0, distort=True):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from machstem.basis import Basis, FACE_W, FACE_E, FACE_S, FACE_N
-from machstem.mesh import GridBlock, TAG_WALL, TAG_INFLOW, TAG_OUTFLOW
+from machstem.mesh import (GridBlock, TAG_INFLOW, TAG_INTERFACE, TAG_OUTFLOW,
+                           TAG_PERIODIC, TAG_WALL)
 
 
 def cartesian_block(nx, ny, x0=0.0, x1=1.0, y0=0.0, y1=1.0, **kw):
@@ -136,3 +137,51 @@ def test_grid_file_bad_count(tmp_path):
     path.write_text("2 2\n0 0\n1 0\n0 1\n")
     with pytest.raises(ValueError, match="expected 4"):
         GridBlock.read(path)
+
+
+@pytest.mark.parametrize("nx, ny, tags", [
+    (4, 3, {}),
+    (4, 2, {FACE_W: TAG_INFLOW, FACE_S: TAG_WALL,
+            FACE_N: [TAG_WALL, TAG_INTERFACE, TAG_OUTFLOW, TAG_OUTFLOW]}),
+    (5, 3, {FACE_W: TAG_PERIODIC, FACE_E: TAG_PERIODIC, FACE_S: TAG_WALL}),
+    (3, 4, {FACE_S: TAG_PERIODIC, FACE_N: TAG_PERIODIC,
+            FACE_W: TAG_INFLOW}),
+    (4, 4, {f: TAG_PERIODIC for f in (FACE_W, FACE_E, FACE_S, FACE_N)}),
+    (1, 3, {FACE_W: TAG_PERIODIC, FACE_E: TAG_PERIODIC}),
+    (1, 1, {}),
+])
+def test_face_table_covers_every_face_once(nx, ny, tags):
+    """Each element face lies in exactly one face pair or one boundary
+    side, pairs join faces that touch (across the period of the unit box
+    for wrap pairs), and periodic sides are never boundary sides."""
+    blk = cartesian_block(nx, ny, tags=tags)
+    pts = blk.geometry(Basis(1)).face_points
+    seen = np.zeros((4, nx, ny), int)
+    for fa, sa, fb, sb in blk.face_pairs:
+        assert (fa, fb) in ((FACE_E, FACE_W), (FACE_N, FACE_S))
+        seen[fa][sa] += 1
+        seen[fb][sb] += 1
+        gap = pts[fa][sa] - pts[fb][sb]
+        assert np.allclose(gap - np.round(gap), 0.0, atol=1e-14)
+    for face, sel in blk.boundary_sides:
+        seen[face][sel] += 1
+        assert not np.any(blk.tags[face] == TAG_PERIODIC)
+    assert np.all(seen == 1)
+
+
+def test_periodic_side_needs_a_periodic_opposite():
+    # an inflow west side against a periodic east side would count the
+    # west faces twice
+    with pytest.raises(ValueError, match="east side is periodic but the "
+                                         "west side is not"):
+        cartesian_block(4, 3, tags={FACE_W: TAG_INFLOW,
+                                    FACE_E: TAG_PERIODIC})
+    with pytest.raises(ValueError, match="south side is periodic"):
+        cartesian_block(4, 3, tags={FACE_S: TAG_PERIODIC})
+
+
+def test_partly_periodic_side_rejected():
+    with pytest.raises(ValueError, match="north side is only partly"):
+        cartesian_block(3, 2, tags={
+            FACE_S: TAG_PERIODIC,
+            FACE_N: [TAG_PERIODIC, TAG_WALL, TAG_PERIODIC]})

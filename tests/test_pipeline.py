@@ -216,6 +216,12 @@ def test_pipeline_smoke_rr_then_restart(tmp_path, monkeypatch):
     assert inv["containment_checked"]
     assert inv["background_checked_iterations"] == 100
     assert inv["background_final_flags"] == 0
+    # measured: the background is guarded only, the patch is limited
+    assert inv["background_limiter_activations"] == 0
+    assert inv["overset_limiter_activations"] > 0
+    result = json.loads((first.run_dir / "result.json").read_text())
+    assert result["invariants"]["overset_limiter_activations"] == \
+        inv["overset_limiter_activations"]
 
     loads = []
 

@@ -4,7 +4,7 @@ import pytest
 from machstem.basis import Basis
 from machstem.dg import Discretization
 from machstem.gas import GasModel, conserved, free_stream
-from machstem.mesh import GridBlock
+from machstem.mesh import GridBlock, TAG_PERIODIC
 from machstem.mms import vortex_ic
 from machstem.stabilization import (kxrcf_indicator, moment_limit,
                                     Stabilizer, make_limiter_hook)
@@ -12,12 +12,14 @@ from machstem.stabilization import (kxrcf_indicator, moment_limit,
 GAS = GasModel()
 
 
-def box_disc(n, order, size=20.0, flux="lax_friedrichs"):
+def box_disc(n, order, size=20.0, flux="lax_friedrichs", periodic=False):
     xs = np.linspace(0.0, size, n + 1)
     verts = np.zeros((n + 1, n + 1, 2))
     verts[..., 0] = xs[:, None]
     verts[..., 1] = xs[None, :]
-    return Discretization(GridBlock(verts), Basis(order), GAS, flux=flux)
+    tags = {f: TAG_PERIODIC for f in range(4)} if periodic else None
+    return Discretization(GridBlock(verts, tags=tags), Basis(order), GAS,
+                          flux=flux)
 
 
 def shock_ic(x, y, x0=10.0):
@@ -73,6 +75,39 @@ def test_indicator_empty_inflow_gives_zero():
     ind, flagged = kxrcf_indicator(disc, coeffs)
     assert ind[1, 1] == 0.0
     assert not flagged[1, 1]
+
+
+def test_indicator_sees_across_periodic_seam():
+    """A contact at x = 0.5 carried in +x on a periodic box has a second
+    jump at the seam x = 0 = 1: the columns just downstream of both are
+    flagged."""
+    disc = box_disc(16, 1, size=1.0, periodic=True)
+
+    def contact(x, y):
+        rho = np.where(x < 0.5, 1.0, 2.0)
+        return conserved(rho, np.ones_like(x), np.zeros_like(x),
+                         np.ones_like(x), GAS)
+
+    _, flagged = kxrcf_indicator(disc, disc.project(contact))
+    assert set(np.where(flagged.any(axis=1))[0]) == {0, 8}
+    assert np.all(flagged[[0, 8]])
+
+
+def test_limiter_takes_wrap_neighbor_mean_on_periodic_block():
+    """The limited slope of a seam element is set by the mean of its
+    neighbor across the seam."""
+    disc = box_disc(5, 1, size=1.0, periodic=True)
+    coeffs = disc.project_constant(free_stream(2.0, GAS))
+    coeffs[0, 1, :, disc.basis.mode_const] += 2.0    # east mean +1
+    coeffs[0, 4, :, disc.basis.mode_const] -= 0.02   # wrap west mean -0.01
+    coeffs[0, 0, 2, disc.basis.mode_lin_r] = 0.05
+    means = disc.cell_means(coeffs)
+    flagged = np.zeros((5, 5), bool)
+    flagged[0, 2] = True
+    moment_limit(disc, coeffs, flagged)
+    expected = (means[0, 0, 2] - means[0, 4, 2]) / np.sqrt(3.0)
+    assert np.isclose(expected, 0.01 / np.sqrt(3.0), rtol=1e-12)
+    assert coeffs[0, 0, 2, disc.basis.mode_lin_r] == expected
 
 
 def test_limiter_preserves_cell_means():
