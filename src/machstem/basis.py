@@ -9,6 +9,10 @@ Quadrature is tensor Gauss-Legendre with N+2 points per direction in the
 volume and N+2 points per face, which integrates products of two basis
 modes against a bilinear-map Jacobian exactly.
 
+The basis also carries the (N+1)^2 tensor Gauss points, their weights
+and the square matrix V_g of the modes there, at which the inverse mass
+matrix of a straight-sided element is applied (see ``dg``).
+
 Face numbering: 0 = W (r=-1), 1 = E (r=+1), 2 = S (s=-1), 3 = N (s=+1).
 W/E faces are parametrized by s ascending, S/N by r ascending, so the two
 sides of a conforming interior face visit identical physical points.
@@ -67,6 +71,12 @@ class Basis:
         self.vol_nodes = np.column_stack([r, s])
         self.vol_weights = np.repeat(w1, nq1) * np.tile(w1, nq1)
         self.vol_V, self.vol_Dr, self.vol_Ds = self.eval_modes(r, s, gradients=True)
+
+        xg, wg = leg.leggauss(n1)
+        self.gauss_nodes = np.column_stack([np.repeat(xg, n1),
+                                            np.tile(xg, n1)])
+        self.gauss_weights = np.repeat(wg, n1) * np.tile(wg, n1)
+        self.gauss_V = self.eval_modes(*self.gauss_nodes.T)
 
         # faces: W/E along s, S/N along r
         ones = np.ones_like(x1)

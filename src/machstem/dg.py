@@ -10,6 +10,14 @@ basis gradients through the cofactor metrics, and the surface term
 integrates a single numerical flux per interior face, added to the left
 element and subtracted from the right, so conservation holds to round-off.
 
+Minv is applied at the (N+1)^2 Gauss points, as V_g^T diag(w_g / J) V_g
+(``Discretization.inverse_mass``). That is the exact inverse, not an
+approximation, only because every element is a straight-sided bilinear
+quad: det J is bilinear, so N+1 Gauss points per direction integrate the
+mass matrix exactly (Hesthaven & Warburton 2008, sec. 6; the exact case
+of the weight-adjusted inverse of Chan, Hewett & Warburton, SIAM J. Sci.
+Comput. 39, 2017). No per-element matrix is built or stored.
+
 Coefficient layout: ``(4, ni, nj, n_modes)`` — variable first, element
 grid, then modal index.
 
@@ -53,6 +61,9 @@ class Discretization:
         self._vol_WDr = basis.vol_Dr * basis.vol_weights[:, None]
         self._vol_WDs = basis.vol_Ds * basis.vol_weights[:, None]
         self._vol_WV = basis.vol_V * basis.vol_weights[:, None]
+        # integral of every mode over every element, (ni, nj, n_modes)
+        self._mode_integrals = ((basis.vol_weights * self.geo.detJ)
+                                @ basis.vol_V)
 
     # ---- projection / evaluation -------------------------------------
     def project(self, fn):
@@ -61,8 +72,19 @@ class Discretization:
         vals = np.asarray(fn(pts[..., 0], pts[..., 1]), float)
         rhs = np.einsum("qp,vijq->vijp", self._vol_WV,
                         vals * self.geo.detJ[None], optimize=True)
-        return np.einsum("ijpr,vijr->vijp", self.geo.mass_inv, rhs,
-                         optimize=True)
+        return self.inverse_mass(rhs)
+
+    def inverse_mass(self, r, mask=None):
+        """Apply each element's inverse mass matrix to the last axis of r.
+
+        ``r`` has shape (..., ni, nj, n_modes), or (..., n, n_modes) over
+        the n elements selected by the boolean (ni, nj) ``mask``.
+        """
+        scale = self.geo.minv_scale
+        if mask is not None:
+            scale = scale[mask]
+        Vg = self.basis.gauss_V
+        return ((r @ Vg.T) * scale) @ Vg
 
     def project_constant(self, state):
         """Coefficients representing one uniform conserved state."""
@@ -82,16 +104,12 @@ class Discretization:
 
     def cell_means(self, coeffs):
         """Per-element means of the conserved variables, shape (4,ni,nj)."""
-        vals = self.evaluate(coeffs)
-        tot = np.einsum("q,vijq,ijq->vij", self.basis.vol_weights, vals,
-                        self.geo.detJ, optimize=True)
+        tot = np.einsum("vijp,ijp->vij", coeffs, self._mode_integrals)
         return tot / self.geo.element_area[None]
 
     def conserved_totals(self, coeffs, mask=None):
         """Domain integrals of the four conserved variables."""
-        vals = self.evaluate(coeffs)
-        contrib = np.einsum("q,vijq,ijq->vij", self.basis.vol_weights, vals,
-                            self.geo.detJ, optimize=True)
+        contrib = np.einsum("vijp,ijp->vij", coeffs, self._mode_integrals)
         if mask is not None:
             contrib = contrib * mask[None]
         return contrib.sum(axis=(1, 2))
@@ -191,8 +209,7 @@ class Discretization:
                              n[..., 0, None], n[..., 1, None], gas)
             surf(face, sel, fhat * geo.face_sj[face][sel][None, ..., None])
 
-        rhs = np.einsum("ijpr,vijr->vijp", self.geo.mass_inv, rhs,
-                        optimize=True)
+        rhs = self.inverse_mass(rhs)
         if mask_inactive and not self.active_mask.all():
             rhs[:, ~self.active_mask] = 0.0
         return rhs

@@ -6,6 +6,10 @@ defined by an (ni+1 x nj+1) vertex lattice. Element (i, j) spans vertices
 through the standard bilinear shape functions, so edges stay straight,
 edge normals are constant per face, and the metric identities hold to
 quadrature exactness (uniform flow produces a zero residual to round-off).
+The Jacobian determinant is bilinear too, which is what lets the mass
+matrix be inverted at the Gauss points without storing any per-element
+matrix (see ``_BlockGeometry``); curved elements would need stored
+inverses again.
 
 Boundary conditions are carried as one integer tag per boundary face on
 each of the four sides, which lets a single side mix tags (the channel
@@ -166,8 +170,33 @@ class GridBlock:
         return f"GridBlock({self.name!r}, {self.ni}x{self.nj})"
 
 
+def _metrics(block, r, s):
+    """Derivatives x_r, y_r, x_s, y_s of the bilinear element maps and
+    det J = x_r y_s - x_s y_r at reference points (r, s); each has shape
+    (ni, nj, npts)."""
+    c00, c10, c11, c01 = block.corners
+
+    def d_dr(k):
+        return ((c10[..., k] - c00[..., k])[:, :, None] * (1 - s) +
+                (c11[..., k] - c01[..., k])[:, :, None] * (1 + s)) / 4.0
+
+    def d_ds(k):
+        return ((c01[..., k] - c00[..., k])[:, :, None] * (1 - r) +
+                (c11[..., k] - c10[..., k])[:, :, None] * (1 + r)) / 4.0
+
+    x_r, y_r, x_s, y_s = d_dr(0), d_dr(1), d_ds(0), d_ds(1)
+    return x_r, y_r, x_s, y_s, x_r * y_s - x_s * y_r
+
+
 class _BlockGeometry:
-    """Quadrature-point metrics of one block under one basis."""
+    """Quadrature-point metrics of one block under one basis.
+
+    The elements are straight-sided, so det J is bilinear and the mass
+    matrix is V_g^T diag(w_g J) V_g exactly at the basis's (N+1)^2 Gauss
+    points. Its inverse is V_g^T diag(minv_scale) V_g, with
+    ``minv_scale`` = w_g / J there, shape (ni, nj, n_modes), the only
+    per-element data the inverse needs.
+    """
 
     def __init__(self, block, basis):
         self.block = block
@@ -175,21 +204,7 @@ class _BlockGeometry:
         c00, c10, c11, c01 = block.corners
         r = basis.vol_nodes[:, 0]
         s = basis.vol_nodes[:, 1]
-
-        # bilinear derivatives; shapes (ni, nj, nq)
-        def dx_dr(c00c, c10c, c11c, c01c):
-            return ((c10c - c00c)[:, :, None] * (1 - s) +
-                    (c11c - c01c)[:, :, None] * (1 + s)) / 4.0
-
-        def dx_ds(c00c, c10c, c11c, c01c):
-            return ((c01c - c00c)[:, :, None] * (1 - r) +
-                    (c11c - c10c)[:, :, None] * (1 + r)) / 4.0
-
-        x_r = dx_dr(c00[..., 0], c10[..., 0], c11[..., 0], c01[..., 0])
-        y_r = dx_dr(c00[..., 1], c10[..., 1], c11[..., 1], c01[..., 1])
-        x_s = dx_ds(c00[..., 0], c10[..., 0], c11[..., 0], c01[..., 0])
-        y_s = dx_ds(c00[..., 1], c10[..., 1], c11[..., 1], c01[..., 1])
-        detJ = x_r * y_s - x_s * y_r
+        x_r, y_r, x_s, y_s, detJ = _metrics(block, r, s)
         if np.any(detJ <= 0.0):
             bad = np.argwhere(detJ <= 0.0)[0]
             raise ValueError(
@@ -197,13 +212,10 @@ class _BlockGeometry:
                 f"(i={bad[0]}, j={bad[1]})")
         self.x_r, self.y_r, self.x_s, self.y_s, self.detJ = x_r, y_r, x_s, y_s, detJ
         self.vol_points = block.map_points(r, s)
-
-        # mass matrices and inverses (ni, nj, Np, Np)
-        V = basis.vol_V
-        wV = V * basis.vol_weights[:, None]
-        M = np.einsum("qp,qr,ijq->ijpr", wV, V, detJ, optimize=True)
-        self.mass = M
-        self.mass_inv = np.linalg.inv(M)
+        # the Gauss points lie inside the hull of the volume nodes, where
+        # the bilinear det J is positive
+        self.minv_scale = basis.gauss_weights / _metrics(
+            block, *basis.gauss_nodes.T)[4]
         self.element_area = np.einsum("q,ijq->ij", basis.vol_weights, detJ)
 
         # straight edges: constant tangent, normal, half-length per face

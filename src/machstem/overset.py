@@ -163,33 +163,46 @@ class PointLocator:
         return found, ij, np.clip(rs, -1.0 - tol, 1.0 + tol)
 
     def _walk(self, pts, start_flat, tol):
-        """Scalar structured walk for the few points the seeds missed."""
+        """Structured walk for the points the seeds missed, in lock step.
+
+        Each step runs one Newton solve per walking point in its current
+        element, then moves every point not yet stopped one element
+        toward its (r, s). A walk stops when its element contains the
+        point (found), when it would step off the block or revisit an
+        element, or after 2 (ni + nj) elements; the (r, s) returned are
+        always those of the element returned.
+        """
         ni, nj = self.block.ni, self.block.nj
-        out_i = np.empty(len(pts), int)
-        out_j = np.empty(len(pts), int)
-        out_r = np.zeros(len(pts))
-        out_s = np.zeros(len(pts))
-        out_f = np.zeros(len(pts), bool)
-        for p in range(len(pts)):
-            i, j = int(start_flat[p] // nj), int(start_flat[p] % nj)
-            seen = set()
-            for _ in range(2 * (ni + nj)):
-                if (i, j) in seen:
-                    break
-                seen.add((i, j))
-                r, s = _newton_rs(self.a[i, j], self.b[i, j],
-                                  self.c[i, j], self.d[i, j], pts[p])
-                if abs(r) <= 1.0 + tol and abs(s) <= 1.0 + tol:
-                    out_f[p] = True
-                    break
-                i2 = min(max(i + int(r > 1.0) - int(r < -1.0), 0), ni - 1)
-                j2 = min(max(j + int(s > 1.0) - int(s < -1.0), 0), nj - 1)
-                if (i2, j2) == (i, j):
-                    break
-                i, j = i2, j2
-            out_i[p], out_j[p] = i, j
-            out_r[p], out_s[p] = float(r), float(s)
-        return out_i, out_j, out_r, out_s, out_f
+        n = len(pts)
+        i, j = np.divmod(np.asarray(start_flat, int), nj)
+        r = np.zeros(n)
+        s = np.zeros(n)
+        found = np.zeros(n, bool)
+        # the walking points: their indices, elements and elements visited
+        p, pi, pj = np.arange(n), i.copy(), j.copy()
+        seen = np.empty((n, 0), int)
+        for _ in range(2 * (ni + nj)):
+            rp, sp = _newton_rs(self.a[pi, pj], self.b[pi, pj],
+                                self.c[pi, pj], self.d[pi, pj], pts[p])
+            r[p], s[p], i[p], j[p] = rp, sp, pi, pj
+            flat = pi * nj + pj
+            revisit = (seen == flat[:, None]).any(axis=1)
+            inside = ~revisit & (np.abs(rp) <= 1.0 + tol) & (
+                np.abs(sp) <= 1.0 + tol)
+            found[p] = inside
+            i2 = np.clip(pi + (rp > 1.0) - (rp < -1.0), 0, ni - 1)
+            j2 = np.clip(pj + (sp > 1.0) - (sp < -1.0), 0, nj - 1)
+            move = ~(revisit | inside | ((i2 == pi) & (j2 == pj)))
+            p, pi, pj = p[move], i2[move], j2[move]
+            seen = np.column_stack([seen[move], flat[move]])
+            if not p.size:
+                break
+        else:
+            # capped: return the element the last step moved to
+            r[p], s[p] = _newton_rs(self.a[pi, pj], self.b[pi, pj],
+                                    self.c[pi, pj], self.d[pi, pj], pts[p])
+            i[p], j[p] = pi, pj
+        return i, j, r, s, found
 
 
 # ---------------------------------------------------------------------
@@ -326,11 +339,12 @@ class TransferOp:
                            + ij[:, 1]).reshape(nf, nq)
         self.donor_basis = donor_disc.basis.eval_modes(
             rs[:, 0], rs[:, 1]).reshape(nf, nq, -1)
-        # receiver projection: coeffs = Minv @ V^T diag(w * detJ)
-        wdet = rb.vol_weights[None, :] * geo.detJ[fringe_mask]
-        vt = rb.vol_V.T[None, :, :] * wdet[:, None, :]
-        minv = geo.mass_inv[fringe_mask]
-        self.proj = np.einsum("fpr,frq->fpq", minv, vt, optimize=True)
+        # receiver projection: coeffs = Minv @ V^T diag(w * detJ), built
+        # transposed, one (nf, Np) row stack per quadrature node
+        wdet = rb.vol_weights[:, None] * geo.detJ[fringe_mask].T    # (nq, nf)
+        rows = receiver_disc.inverse_mass(
+            rb.vol_V[:, None, :] * wdet[..., None], fringe_mask)
+        self.proj = np.ascontiguousarray(rows.transpose(1, 2, 0))
 
     def __call__(self, donor_coeffs, receiver_coeffs):
         if self.proj is None:

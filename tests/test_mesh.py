@@ -34,10 +34,15 @@ def test_cartesian_geometry():
     hx, hy = 2.0 / nx, 1.5 / ny
     assert np.allclose(geo.detJ, hx * hy / 4.0)
     assert np.allclose(geo.element_area, hx * hy)
-    # mass matrix of an affine element is detJ * identity
+    # mass matrix of an affine element is detJ * identity, and so is the
+    # Gauss-point form of its inverse, V_g^T diag(w_g / detJ) V_g
     eye = np.eye(basis.n_modes)
-    assert np.allclose(geo.mass, hx * hy / 4.0 * eye, atol=1e-14)
-    assert np.allclose(geo.mass_inv, 4.0 / (hx * hy) * eye, atol=1e-11)
+    mass = np.einsum("qp,ijq,qr->ijpr", basis.vol_V,
+                     basis.vol_weights * geo.detJ, basis.vol_V)
+    assert np.allclose(mass, hx * hy / 4.0 * eye, atol=1e-14)
+    inv = np.einsum("gp,ijg,gr->ijpr", basis.gauss_V, geo.minv_scale,
+                    basis.gauss_V)
+    assert np.allclose(inv, 4.0 / (hx * hy) * eye, atol=1e-11)
 
 
 def test_outward_normals_cartesian():

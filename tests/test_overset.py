@@ -6,7 +6,7 @@ from machstem.dg import Discretization
 from machstem.errors import AssemblyError
 from machstem.gas import GasModel, free_stream
 from machstem.mesh import GridBlock, TAG_INTERFACE, TAG_INFLOW, TAG_OUTFLOW
-from machstem.overset import (PointLocator, points_in_footprint,
+from machstem.overset import (PointLocator, _newton_rs, points_in_footprint,
                               covered_elements, erosion_depth,
                               classify_background, overset_fringe,
                               TransferOp, OversetAssembly, CompositeSampler,
@@ -73,6 +73,100 @@ def test_locator_clamp_snaps_to_nearest():
     assert not found[0]
     assert ij[0, 0] == 3
     assert np.all(np.abs(rs) <= 1.0)
+
+
+def reference_walk(loc, pts, start_flat, tol):
+    """One point at a time: visit at most 2 (ni + nj) elements, stopping
+    on the element that contains the point, on a revisit or on a step off
+    the block; (r, s) always belong to the element returned."""
+    ni, nj = loc.block.ni, loc.block.nj
+    out = []
+    for p, start in zip(pts, start_flat):
+        i, j = divmod(int(start), nj)
+        seen, found = set(), False
+        for _ in range(2 * (ni + nj)):
+            r, s = _newton_rs(loc.a[i, j], loc.b[i, j], loc.c[i, j],
+                              loc.d[i, j], p)
+            if (i, j) in seen:
+                break
+            seen.add((i, j))
+            if abs(r) <= 1.0 + tol and abs(s) <= 1.0 + tol:
+                found = True
+                break
+            i2 = min(max(i + int(r > 1.0) - int(r < -1.0), 0), ni - 1)
+            j2 = min(max(j + int(s > 1.0) - int(s < -1.0), 0), nj - 1)
+            if (i2, j2) == (i, j):
+                break
+            i, j = i2, j2
+        else:
+            r, s = _newton_rs(loc.a[i, j], loc.b[i, j], loc.c[i, j],
+                              loc.d[i, j], p)
+        out.append((i, j, r, s, found))
+    return tuple(map(np.array, zip(*out)))
+
+
+def stretched_sheared_block(nx=40, ny=30):
+    """Geometric x spacing (ratio 1.2), wall-clustered y, strong shear: the
+    nearest centroids of a point in a large cell are often all small
+    cells, so the k-d candidates miss it."""
+    xs = np.cumsum(np.r_[0.0, 1.2 ** np.arange(nx)])
+    ys = np.tanh(3.0 * np.linspace(0.0, 1.0, ny + 1)) / np.tanh(3.0)
+    verts = np.zeros((nx + 1, ny + 1, 2))
+    verts[..., 0] = xs[:, None] / xs[-1] + 1.5 * ys[None, :]
+    verts[..., 1] = 0.2 * ys[None, :]
+    return GridBlock(verts)
+
+
+def test_lock_step_walk_matches_scalar_reference():
+    blk = stretched_sheared_block()
+    rng = np.random.default_rng(1)
+    n = 400
+    inside = blk.map_points(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))[
+        rng.integers(0, blk.ni, n), rng.integers(0, blk.nj, n), np.arange(n)]
+    outside = np.column_stack([rng.uniform(-0.5, 3.0, 60),
+                               rng.uniform(-0.1, 0.3, 60)])
+    outside = outside[~points_in_footprint(blk, outside)]
+    pts = np.vstack([inside, outside])
+    loc = PointLocator(blk)
+    walks = []
+
+    def spy(*args):
+        walks.append((args, PointLocator._walk(loc, *args)))
+        return walks[-1][1]
+
+    loc._walk = spy
+    found, ij, rs = loc.locate(pts)
+    assert found[:n].all() and not found[n:].any()
+    (walked, start, tol), got = walks[0]
+    # the walk saw points the k-d candidates missed, and points outside
+    assert got[4].sum() > 100 and (~got[4]).sum() == len(outside) > 20
+    ref = reference_walk(loc, walked, start, tol)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+    # from arbitrary start elements too
+    pts = pts[::8]
+    start = rng.integers(0, blk.n_elements, len(pts))
+    got = loc._walk(pts, start, 1e-9)
+    ref = reference_walk(loc, pts, start, 1e-9)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+
+
+def test_walk_stopped_by_revisit_returns_rs_of_its_element():
+    """A folded lattice (vertex column 2 left of column 1) sends the walk
+    from element 0 to 1 and back; it stops in element 0 with element 0's
+    (r, s), not those of element 1."""
+    verts = np.zeros((4, 2, 2))
+    verts[..., 0] = np.array([0.0, 1.0, 0.5, 2.0])[:, None]
+    verts[..., 1] = np.array([0.0, 1.0])[None, :]
+    loc = PointLocator(GridBlock(verts))
+    pt = np.array([[1.2, 0.5]])
+    i, j, r, s, found = loc._walk(pt, np.array([0]), 1e-9)
+    assert (i[0], j[0], found[0]) == (0, 0, False)
+    assert np.allclose([r[0], s[0]], [1.4, 0.0])
+    for a, b in zip((i, j, r, s, found),
+                    reference_walk(loc, pt, [0], 1e-9)):
+        assert np.array_equal(a, b)
 
 
 def test_footprint_crossing_test():
