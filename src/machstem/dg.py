@@ -21,6 +21,22 @@ Comput. 39, 2017). No per-element matrix is built or stored.
 Coefficient layout: ``(4, ni, nj, n_modes)`` — variable first, element
 grid, then modal index.
 
+The volume flux is built from the contravariant velocities
+U = u y_s - v x_s and W = v x_r - u y_r, one primitive state per node:
+
+    A = F y_s - G x_s = (rho U, m_x U + p y_s, m_y U - p x_s, (E + p) U)
+    B = G x_r - F y_r = (rho W, m_x W - p y_r, m_y W + p x_r, (E + p) W)
+
+and contracted against the weighted basis gradients.
+
+Only the active elements evolve (``Discretization.active_mask``; overset
+assembly turns holes and fringes off). The element-local work -- the
+volume term, the face lift, the mass inverse, the wave speed and the
+positivity guard -- runs on those elements only, and the residual is
+exactly zero elsewhere. The face fluxes are computed on the whole block
+through the face table's slices, which is cheaper than gathering the
+faces of the active elements.
+
 Which element lies across each face comes from the block's face table
 (``GridBlock.face_pairs``): interior faces, and periodic sides, which
 are whole sides in opposite pairs, each get one flux per pair. The
@@ -40,6 +56,8 @@ from .basis import FACE_W, FACE_E, FACE_S, FACE_N
 from .fluxes import get_flux
 from .mesh import TAG_INFLOW, TAG_OUTFLOW, TAG_WALL
 
+FACES = (FACE_W, FACE_E, FACE_S, FACE_N)
+
 
 class Discretization:
     def __init__(self, block, basis, gas, flux="lax_friedrichs",
@@ -52,18 +70,43 @@ class Discretization:
                           else getattr(flux, "__name__", "custom"))
         self.geo = block.geometry(basis)
         self.bc_state = None if bc_state is None else np.asarray(bc_state, float)
-        # elements whose coefficients evolve; overset assembly narrows this
         self.active_mask = np.ones((block.ni, block.nj), bool)
         w1 = basis.q1d_weights
-        # basis columns pre-weighted by face quadrature weights
-        self._face_W = {f: basis.face_V[f] * w1[:, None]
-                        for f in (FACE_W, FACE_E, FACE_S, FACE_N)}
-        self._vol_WDr = basis.vol_Dr * basis.vol_weights[:, None]
-        self._vol_WDs = basis.vol_Ds * basis.vol_weights[:, None]
-        self._vol_WV = basis.vol_V * basis.vol_weights[:, None]
+        wv = basis.vol_weights[:, None]
+        self._vol_WDr = basis.vol_Dr * wv
+        self._vol_WDs = basis.vol_Ds * wv
+        # flux*sJ at the W, E, S, N face nodes -> minus the surface term
+        self._lift = -np.vstack([basis.face_V[f] * w1[:, None]
+                                 for f in FACES])
+        self._vol_WV = basis.vol_V * wv
         # integral of every mode over every element, (ni, nj, n_modes)
         self._mode_integrals = ((basis.vol_weights * self.geo.detJ)
                                 @ basis.vol_V)
+
+    @property
+    def active_mask(self):
+        """Read-only (ni, nj) flags of the elements whose coefficients
+        evolve; overset assembly narrows it by assigning a new mask."""
+        return self._active_mask
+
+    @active_mask.setter
+    def active_mask(self, mask):
+        mask = np.array(mask, bool)
+        shape = (self.block.ni, self.block.nj)
+        if mask.shape != shape:
+            raise ValueError(f"block {self.block.name!r}: active_mask has "
+                             f"shape {mask.shape}, expected {shape}")
+        mask.flags.writeable = False
+        self._active_mask = mask
+        # the selection the element-local kernels run on, for indexing
+        # after the variable axis: plain slices (views, no copies) when
+        # every element is active, the boolean mask otherwise
+        self._all_active = bool(mask.all())
+        self.active_sel = ((slice(None), slice(None)) if self._all_active
+                           else (mask,))
+        geo = self.geo
+        self._active_metrics = tuple(m[self.active_sel] for m in
+                                     (geo.x_r, geo.x_s, geo.y_r, geo.y_s))
 
     # ---- projection / evaluation -------------------------------------
     def project(self, fn):
@@ -77,8 +120,9 @@ class Discretization:
     def inverse_mass(self, r, mask=None):
         """Apply each element's inverse mass matrix to the last axis of r.
 
-        ``r`` has shape (..., ni, nj, n_modes), or (..., n, n_modes) over
-        the n elements selected by the boolean (ni, nj) ``mask``.
+        ``r`` has shape (..., ni, nj, n_modes), or the shape of the
+        elements that ``mask`` selects: a boolean (ni, nj) mask gives
+        (..., n, n_modes), ``active_sel`` that of the active elements.
         """
         scale = self.geo.minv_scale
         if mask is not None:
@@ -93,14 +137,12 @@ class Discretization:
         return c
 
     def evaluate(self, coeffs):
-        """Point values at the volume quadrature nodes, shape (4,ni,nj,nq)."""
-        return np.einsum("qp,vijp->vijq", self.basis.vol_V, coeffs,
-                         optimize=True)
+        """Point values at the volume quadrature nodes: (..., nq) for
+        coefficients (..., n_modes), (4, ni, nj, nq) for a whole block."""
+        return coeffs @ self.basis.vol_V.T
 
     def face_traces(self, coeffs):
-        return {f: np.einsum("qp,vijp->vijq", self.basis.face_V[f], coeffs,
-                             optimize=True)
-                for f in (FACE_W, FACE_E, FACE_S, FACE_N)}
+        return {f: coeffs @ self.basis.face_V[f].T for f in FACES}
 
     def cell_means(self, coeffs):
         """Per-element means of the conserved variables, shape (4,ni,nj)."""
@@ -126,9 +168,15 @@ class Discretization:
         return np.sqrt(cell.sum(axis=(1, 2)))
 
     def max_wave_speed(self, coeffs):
-        """Per-element max |u| + a over the volume nodes, shape (ni,nj)."""
-        vals = self.evaluate(coeffs)
-        return gasmod.max_wave_speed(vals, self.gas).max(axis=2)
+        """Per-element max |u| + a over the volume nodes, shape (ni, nj);
+        computed at the active elements only, zero at the others."""
+        vals = self.evaluate(coeffs[(slice(None), *self.active_sel)])
+        lam = gasmod.max_wave_speed(vals, self.gas).max(axis=-1)
+        if self._all_active:
+            return lam
+        out = np.zeros(self._active_mask.shape)
+        out[self._active_mask] = lam
+        return out
 
     # ---- boundary ghosts ---------------------------------------------
     def _ghost_states(self, q_in, face, nrm):
@@ -174,42 +222,58 @@ class Discretization:
         return ghost
 
     # ---- residual ----------------------------------------------------
-    def residual(self, coeffs, mask_inactive=True):
-        """Semi-discrete rate of change of the modal coefficients."""
+    def residual(self, coeffs):
+        """Semi-discrete rate of change of the modal coefficients, exactly
+        zero at inactive elements."""
         geo, gas = self.geo, self.gas
-        vals = self.evaluate(coeffs)
-        F, G = gasmod.flux(vals, gas)
-        A = F * geo.y_s[None] - G * geo.x_s[None]
-        B = -F * geo.y_r[None] + G * geo.x_r[None]
-        rhs = (np.einsum("qp,vijq->vijp", self._vol_WDr, A, optimize=True)
-               + np.einsum("qp,vijq->vijp", self._vol_WDs, B, optimize=True))
-
-        tr = self.face_traces(coeffs)
         v = slice(None)  # the variable axis, ahead of an element selection
+        act = (v, *self.active_sel)
 
-        def surf(face, sel, fhat_sj):
-            """Accumulate -(surface integral) of fhat*sJ over one face of
-            the selected elements."""
-            rhs[(v, *sel)] -= np.einsum("qp,vijq->vijp", self._face_W[face],
-                                        fhat_sj, optimize=True)
+        # volume term at the active elements, from the contravariant
+        # velocities U, W (module docstring)
+        q = self.evaluate(coeffs[act])
+        _, ux, uy, p = gasmod.primitives(q, gas)
+        x_r, x_s, y_r, y_s = self._active_metrics
+        U = ux * y_s - uy * x_s
+        W = uy * x_r - ux * y_r
+        A = q * U
+        A[1] += p * y_s
+        A[2] -= p * x_s
+        A[3] += p * U
+        B = q * W
+        B[1] -= p * y_r
+        B[2] += p * x_r
+        B[3] += p * W
+        rhs = A @ self._vol_WDr
+        rhs += B @ self._vol_WDs
 
-        # one flux per face pair, added to one side, subtracted from the other
+        # surface term: every element face's flux*sJ goes into one slot
+        # of S, lifted below by one matmul; one flux per face pair, added
+        # to one side and subtracted from the other
+        tr = self.face_traces(coeffs)
+        nf = self.basis.nq_1d
+        S = np.empty(coeffs.shape[:-1] + (len(FACES) * nf,))
+        slot = {f: S[..., k * nf:(k + 1) * nf] for k, f in enumerate(FACES)}
         for fa, sa, fb, sb in self.block.face_pairs:
             n = geo.face_normal[fa][sa]
             fhat = self.flux(tr[fa][(v, *sa)], tr[fb][(v, *sb)],
                              n[..., 0, None], n[..., 1, None], gas)
-            fhat_sj = fhat * geo.face_sj[fa][sa][None, ..., None]
-            surf(fa, sa, fhat_sj)
-            surf(fb, sb, -fhat_sj)
-
+            fhat *= geo.face_sj[fa][sa][None, ..., None]
+            slot[fa][(v, *sa)] = fhat
+            np.negative(fhat, out=slot[fb][(v, *sb)])
         for face, sel in self.block.boundary_sides:
             n = geo.face_normal[face][sel]
             q_in = tr[face][(v, *sel)]
             fhat = self.flux(q_in, self._ghost_states(q_in, face, n),
                              n[..., 0, None], n[..., 1, None], gas)
-            surf(face, sel, fhat * geo.face_sj[face][sel][None, ..., None])
+            np.multiply(fhat, geo.face_sj[face][sel][None, ..., None],
+                        out=slot[face][(v, *sel)])
+        rhs += S[act] @ self._lift
 
-        rhs = self.inverse_mass(rhs)
-        if mask_inactive and not self.active_mask.all():
-            rhs[:, ~self.active_mask] = 0.0
-        return rhs
+        rhs = self.inverse_mass(rhs, self.active_sel)
+        if self._all_active:
+            return rhs
+        out = np.zeros(coeffs.shape)
+        out[act] = rhs
+        return out
+

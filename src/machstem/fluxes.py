@@ -22,12 +22,25 @@ from . import gas as gasmod
 
 
 def lax_friedrichs(qL, qR, nx, ny, gas):
-    """Local Lax-Friedrichs (Rusanov) flux."""
-    fL = gasmod.normal_flux(qL, nx, ny, gas)
-    fR = gasmod.normal_flux(qR, nx, ny, gas)
-    lam = np.maximum(gasmod.max_wave_speed(qL, gas),
-                     gasmod.max_wave_speed(qR, gas))
-    return 0.5 * (fL + fR) - 0.5 * lam * (qR - qL)
+    """Local Lax-Friedrichs (Rusanov) flux.
+
+    Each side's physical normal flux is q * u_n plus the pressure terms
+    (0, p nx, p ny, p u_n), from one ``primitives`` call per side.
+    """
+    rhoL, uL, vL, pL = gasmod.primitives(qL, gas)
+    rhoR, uR, vR, pR = gasmod.primitives(qR, gas)
+    unL = uL * nx + vL * ny
+    unR = uR * nx + vR * ny
+    g = gas.gamma
+    lam = np.maximum(np.sqrt(uL * uL + vL * vL) + np.sqrt(g * pL / rhoL),
+                     np.sqrt(uR * uR + vR * vR) + np.sqrt(g * pR / rhoR))
+    f = qL * unL + qR * unR
+    f[1] += (pL + pR) * nx
+    f[2] += (pL + pR) * ny
+    f[3] += pL * unL + pR * unR
+    f -= lam * (qR - qL)
+    f *= 0.5
+    return f
 
 
 def _pressure_split(m, sign):
@@ -51,10 +64,10 @@ def slau2(qL, qR, nx, ny, gas):
     """
     rhoL, uL, vL, pL = gasmod.primitives(qL, gas)
     rhoR, uR, vR, pR = gasmod.primitives(qR, gas)
-    HL = gasmod.total_enthalpy(qL, gas)
-    HR = gasmod.total_enthalpy(qR, gas)
-    cL = gasmod.sound_speed(qL, gas)
-    cR = gasmod.sound_speed(qR, gas)
+    HL = (qL[3] + pL) / rhoL
+    HR = (qR[3] + pR) / rhoR
+    cL = np.sqrt(gas.gamma * pL / rhoL)
+    cR = np.sqrt(gas.gamma * pR / rhoR)
     cbar = 0.5 * (cL + cR)
 
     vnL = uL * nx + vL * ny
@@ -84,14 +97,15 @@ def slau2(qL, qR, nx, ny, gas):
               + np.sqrt(v2_mean) * (fpL + fmR - 1.0)
                 * 0.5 * (rhoL + rhoR) * cbar)
 
-    up = 0.5 * (mdot + np.abs(mdot))
-    um = 0.5 * (mdot - np.abs(mdot))
-    one = np.ones_like(vnL)
-    zero = np.zeros_like(vnL)
-    psiL = np.stack([one, uL, vL, HL])
-    psiR = np.stack([one, uR, vR, HR])
-    pn = np.stack([zero, ptilde * nx, ptilde * ny, zero])
-    return up * psiL + um * psiR + pn
+    # upwinded (1, u, v, H) carried by the mass flux, plus pressure
+    up = np.maximum(mdot, 0.0)
+    um = np.minimum(mdot, 0.0)
+    f = np.empty((4,) + mdot.shape)
+    f[0] = mdot
+    f[1] = up * uL + um * uR + ptilde * nx
+    f[2] = up * vL + um * vR + ptilde * ny
+    f[3] = up * HL + um * HR
+    return f
 
 
 FLUXES = {"lax_friedrichs": lax_friedrichs, "slau2": slau2}

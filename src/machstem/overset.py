@@ -117,6 +117,13 @@ class PointLocator:
         d2 = c01 - c10
         self._area = 0.5 * np.abs(d1[..., 0] * d2[..., 1]
                                   - d1[..., 1] * d2[..., 0]).reshape(-1)
+        # the perimeter's vertices, half its longest side, and a bound on
+        # |x_r| + |x_s| over every element (see _may_contain)
+        rim = boundary_polygon(block)
+        self._rim = cKDTree(rim)
+        self._rim_half_side = 0.5 * np.hypot(*np.diff(rim, axis=0).T).max()
+        self._reach = (np.hypot(*self.b.T) + np.hypot(*self.c.T)
+                       + 2.0 * np.hypot(*self.d.T)).max()
 
     def locate(self, pts, tol=1e-9, clamp=False):
         """Locate flat (n, 2) points.
@@ -124,7 +131,9 @@ class PointLocator:
         Returns (found, ij, rs): bool (n,), int (n, 2), float (n, 2).
         With ``clamp=True`` unfound points snap to the nearest element
         with reference coordinates clipped to the element, and ``found``
-        stays False for them.
+        stays False for them. Without it, ``ij`` and ``rs`` of an unfound
+        point mean nothing, and the structured walk skips the points that
+        cannot lie in the block.
         """
         pts = np.asarray(pts, float).reshape(-1, 2)
         n = pts.shape[0]
@@ -150,6 +159,8 @@ class PointLocator:
         rs = np.column_stack([r[np.arange(n), first], s[np.arange(n), first]])
 
         missing = ~found
+        if not clamp and np.any(missing):
+            missing[missing] = self._may_contain(pts[missing], tol)
         if np.any(missing):
             fi, fj, fr, fs, ffound = self._walk(pts[missing], pick[missing],
                                                 tol)
@@ -161,6 +172,18 @@ class PointLocator:
         if clamp:
             rs = np.clip(rs, -1.0, 1.0)
         return found, ij, np.clip(rs, -1.0 - tol, 1.0 + tol)
+
+    def _may_contain(self, pts, tol):
+        """Flags the points a walk may find: those inside the footprint
+        and those near its perimeter. Outside the footprint a walk finds
+        only points within tol (|x_r| + |x_s|) of an element, which twice
+        ``_reach`` bounds; a point that near the perimeter lies within
+        that distance plus half the longest perimeter side of one of its
+        vertices."""
+        dist, _ = self._rim.query(pts)
+        near = dist <= self._rim_half_side + 2.0 * tol * self._reach
+        near[~near] = points_in_footprint(self.block, pts[~near])
+        return near
 
     def _walk(self, pts, start_flat, tol):
         """Structured walk for the points the seeds missed, in lock step.

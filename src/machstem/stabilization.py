@@ -71,12 +71,12 @@ def kxrcf_indicator(disc, coeffs, variables=(0,), threshold=1.0):
         for k, v in enumerate(variables):
             num[k] += ((tr[v] - nbr[face][v]) * wgt).sum(axis=2)
 
-    vals = disc.evaluate(coeffs)
+    vals = disc.evaluate(coeffs[list(variables)])
     ind = np.zeros_like(inflow_len)
     active = inflow_len > 0.0
     hpow = geo.h_max_edge ** (0.5 * (basis.order + 1))
-    for k, v in enumerate(variables):
-        norm = np.max(np.abs(vals[v]), axis=2)
+    for k in range(len(variables)):
+        norm = np.max(np.abs(vals[k]), axis=2)
         den = hpow * inflow_len * np.maximum(norm, 1e-300)
         with np.errstate(invalid="ignore"):
             ind_v = np.where(active, np.abs(num[k]) / den, 0.0)
@@ -126,6 +126,17 @@ def moment_limit(disc, coeffs, flagged, tvb_m=0.0):
     coeffs[:, :, :, basis.modes_high] = hi
 
 
+def _dips_below_floors(vals, gas, rho_floor, p_floor):
+    """Cells whose node values, node-major (4, n_nodes, ...), reach a
+    floor or are not finite. Every non-finite conserved value reaches rho
+    or p: a NaN fails the floor test, and an infinity shows in the min
+    or the max."""
+    rho = vals[0]
+    p = pressure(vals, gas)
+    return (~(rho.min(axis=0) > rho_floor) | ~(p.min(axis=0) > p_floor)
+            | (np.maximum(rho.max(axis=0), p.max(axis=0)) == np.inf))
+
+
 def positivity_guard(disc, coeffs, rho_floor=1e-8, p_floor=1e-10):
     """Emergency fallback keeping every active cell's state physical.
 
@@ -134,40 +145,51 @@ def positivity_guard(disc, coeffs, rho_floor=1e-8, p_floor=1e-10):
     whose polynomial dips below the floors anywhere on its quadrature
     nodes has its non-constant modes shrunk toward the (physical) mean
     until the dip disappears.  A no-op on physical states, so steady
-    solutions are untouched.  Returns the number of cell repairs made.
+    solutions are untouched.  Only active cells are read or changed.
+    Returns the number of cell repairs made.
     """
     gas = disc.gas
-    mask = disc.active_mask
+    v = slice(None)
+    sel = disc.active_sel
     repaired = 0
 
-    means = disc.cell_means(coeffs)
+    def on_block(bad):
+        """(ni, nj) mask of the cells flagged at the selection ``sel``."""
+        cells = np.zeros(disc.active_mask.shape, bool)
+        cells[sel] = bad
+        return cells
+
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        means = disc.cell_means(coeffs)[(v, *sel)]
         pm = pressure(means, gas)
         bad = (~np.isfinite(means).all(axis=0) | (means[0] <= rho_floor) |
-               ~np.isfinite(pm) | (pm <= p_floor)) & mask
+               ~np.isfinite(pm) | (pm <= p_floor))
         if bad.any():
             m = means[:, bad]
             rho = np.maximum(np.nan_to_num(m[0], nan=rho_floor), rho_floor)
             u = np.nan_to_num(m[1] / rho, nan=0.0, posinf=0.0, neginf=0.0)
-            v = np.nan_to_num(m[2] / rho, nan=0.0, posinf=0.0, neginf=0.0)
+            vel = np.nan_to_num(m[2] / rho, nan=0.0, posinf=0.0, neginf=0.0)
             p = np.maximum(np.nan_to_num(pm[bad], nan=p_floor), p_floor)
-            state = conserved(rho, u, v, p, gas)
-            coeffs[:, bad, :] = 0.0
-            coeffs[:, bad, 0] = 2.0 * state         # mode-0 value is 1/2
+            state = conserved(rho, u, vel, p, gas)
+            cells = on_block(bad)
+            coeffs[:, cells, :] = 0.0
+            coeffs[:, cells, 0] = 2.0 * state        # mode-0 value is 1/2
             repaired += int(bad.sum())
 
+        # only the cells shrunk by one pass are evaluated again by the
+        # next; node-major values make the per-cell min and max run over
+        # the outer axis, with long contiguous rows
         V = disc.basis.node_V
         for _ in range(60):
-            vals = np.einsum("qp,vijp->vijq", V, coeffs, optimize=True)
-            p = pressure(vals, gas)
-            bad = ((vals[0].min(axis=-1) <= rho_floor) |
-                   (p.min(axis=-1) <= p_floor) |
-                   ~np.isfinite(vals).all(axis=(0, 3)) |
-                   ~np.isfinite(p).all(axis=-1)) & mask
+            vals = np.tensordot(V, coeffs[(v, *sel)], (1, -1))
+            bad = _dips_below_floors(vals.swapaxes(0, 1), gas, rho_floor,
+                                     p_floor)
             if not bad.any():
                 break
-            coeffs[:, bad, 1:] *= 0.5
+            cells = on_block(bad)
+            coeffs[:, cells, 1:] *= 0.5
             repaired += int(bad.sum())
+            sel = (cells,)
     return repaired
 
 

@@ -9,6 +9,7 @@ from machstem.gas import (GasModel, conserved, flux as euler_flux,
 from machstem.mesh import (GridBlock, TAG_INFLOW, TAG_INTERFACE, TAG_OUTFLOW,
                            TAG_PERIODIC, TAG_WALL)
 from machstem.mms import vortex_ic, vortex_state
+from machstem.timestepping import System
 
 GAS = GasModel()
 
@@ -272,17 +273,69 @@ def test_residual_approximates_analytic_time_derivative():
     assert errs[1] < errs[0] / 3.0
 
 
+def hole_mask(n, lo, hi):
+    """(n, n) active mask with the square [lo, hi)^2 inactive."""
+    mask = np.ones((n, n), bool)
+    mask[lo:hi, lo:hi] = False
+    return mask
+
+
 def test_inactive_elements_frozen():
+    """With an interior inactive region the residual equals the
+    all-active one at the active elements and is exactly 0 elsewhere."""
     q_inf = free_stream(3.0, GAS)
-    blk = wavy_block(5, 5, tags={FACE_W: TAG_INFLOW})
-    disc = Discretization(blk, Basis(1), GAS, bc_state=q_inf)
-    rng = np.random.default_rng(3)
-    coeffs = disc.project_constant(q_inf)
-    coeffs += 0.01 * rng.standard_normal(coeffs.shape)
-    disc.active_mask[1:4, 1:4] = False
+    for order, flux, seed in ((1, "lax_friedrichs", 1), (4, "slau2", 3)):
+        blk = wavy_block(7, 7, tags={FACE_W: TAG_INFLOW, FACE_S: TAG_WALL})
+        disc = Discretization(blk, Basis(order), GAS, flux=flux,
+                              bc_state=q_inf)
+        coeffs = random_admissible_state(disc, seed)
+        full = disc.residual(coeffs)
+        mask = hole_mask(7, 2, 5)
+        disc.active_mask = mask
+        rhs = disc.residual(coeffs)
+        assert np.all(rhs[:, ~mask] == 0.0)
+        assert (np.max(np.abs(rhs[:, mask] - full[:, mask]))
+                <= 1e-13 * np.max(np.abs(full)))
+
+
+def test_nan_in_a_hole_leaves_active_elements_alone():
+    """Holes border only inactive (fringe) elements; a NaN state there
+    changes neither the active residual nor the stable step."""
+    disc = Discretization(wavy_block(9, 9), Basis(2), GAS)
+    disc.active_mask = hole_mask(9, 2, 7)
+    coeffs = random_admissible_state(disc, seed=5)
+    system = System([disc])
     rhs = disc.residual(coeffs)
-    assert np.all(rhs[:, 1:4, 1:4] == 0.0)
-    assert np.any(rhs[:, 0, :] != 0.0)
+    dt = system.stable_dt([coeffs], 0.3)
+    coeffs[:, 3:6, 3:6] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(disc.residual(coeffs), rhs)
+        assert system.stable_dt([coeffs], 0.3) == dt
+
+
+def test_reassigned_active_mask_takes_effect():
+    disc = Discretization(wavy_block(6, 6), Basis(1), GAS)
+    coeffs = random_admissible_state(disc, seed=2)
+    full = disc.residual(coeffs)
+    first = hole_mask(6, 1, 3)
+    disc.active_mask = first
+    assert np.all(disc.residual(coeffs)[:, ~first] == 0.0)
+    second = hole_mask(6, 3, 5)
+    disc.active_mask = second
+    rhs = disc.residual(coeffs)
+    assert np.all(rhs[:, ~second] == 0.0)
+    assert np.all(rhs[:, 1:3, 1:3] != 0.0)
+    assert (np.max(np.abs(rhs[:, second] - full[:, second]))
+            <= 1e-13 * np.max(np.abs(full)))
+    disc.active_mask = np.ones((6, 6), bool)
+    assert np.array_equal(disc.residual(coeffs), full)
+    # the mask is a copy, read-only: changing it takes an assignment
+    second[:] = False
+    assert disc.active_mask.all()
+    with pytest.raises(ValueError):
+        disc.active_mask[0, 0] = False
+    with pytest.raises(ValueError, match="shape"):
+        disc.active_mask = np.ones((6, 5), bool)
 
 
 def test_inflow_requires_bc_state():

@@ -7,6 +7,7 @@ from machstem.errors import AssemblyError
 from machstem.gas import GasModel, free_stream
 from machstem.mesh import GridBlock, TAG_INTERFACE, TAG_INFLOW, TAG_OUTFLOW
 from machstem.overset import (PointLocator, _newton_rs, points_in_footprint,
+                              boundary_polygon,
                               covered_elements, erosion_depth,
                               classify_background, overset_fringe,
                               TransferOp, OversetAssembly, CompositeSampler,
@@ -135,7 +136,8 @@ def test_lock_step_walk_matches_scalar_reference():
         return walks[-1][1]
 
     loc._walk = spy
-    found, ij, rs = loc.locate(pts)
+    # with clamp, every point the k-d candidates miss is walked
+    found, ij, rs = loc.locate(pts, clamp=True)
     assert found[:n].all() and not found[n:].any()
     (walked, start, tol), got = walks[0]
     # the walk saw points the k-d candidates missed, and points outside
@@ -150,6 +152,52 @@ def test_lock_step_walk_matches_scalar_reference():
     ref = reference_walk(loc, pts, start, 1e-9)
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
+
+
+def test_locate_walks_only_points_that_may_lie_in_the_block():
+    """Skipping the walk for points outside the footprint and away from
+    its perimeter changes no answer: inside points, outside points, and
+    points within 1e-10 of the perimeter (either side) are found exactly
+    as when every point the k-d candidates miss is walked."""
+    blk = stretched_sheared_block()
+    rng = np.random.default_rng(4)
+    n = 300
+    inside = blk.map_points(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))[
+        rng.integers(0, blk.ni, n), rng.integers(0, blk.nj, n), np.arange(n)]
+    outside = np.column_stack([rng.uniform(-0.5, 3.0, 200),
+                               rng.uniform(-0.1, 0.3, 200)])
+    outside = outside[~points_in_footprint(blk, outside)]
+    rim = boundary_polygon(blk)
+    k = rng.integers(0, len(rim) - 1, 600)
+    a, b = rim[k], rim[k + 1]
+    edge = b - a
+    outward = np.column_stack([edge[:, 1], -edge[:, 0]]) / np.hypot(
+        edge[:, 0], edge[:, 1])[:, None]
+    on_rim = (a + rng.uniform(0, 1, (600, 1)) * edge
+              + rng.choice([-1e-10, 0.0, 1e-10], (600, 1)) * outward)
+    pts = np.vstack([inside, outside, on_rim])
+
+    walked = []
+
+    def locator(walk_every_point):
+        loc = PointLocator(blk)
+
+        def spy(p, *args):
+            walked.append(len(p))
+            return PointLocator._walk(loc, p, *args)
+
+        loc._walk = spy
+        if walk_every_point:
+            loc._may_contain = lambda p, tol: np.ones(len(p), bool)
+        return loc
+
+    found, ij, rs = locator(False).locate(pts)
+    found_all, ij_all, rs_all = locator(True).locate(pts)
+    assert np.array_equal(found, found_all)
+    assert np.array_equal(ij[found], ij_all[found])
+    assert np.array_equal(rs[found], rs_all[found])
+    assert found[:n].all() and not found[n:n + len(outside)].any()
+    assert walked[0] < walked[1] - len(outside) // 2
 
 
 def test_walk_stopped_by_revisit_returns_rs_of_its_element():

@@ -3,10 +3,11 @@ import pytest
 
 from machstem.basis import Basis
 from machstem.dg import Discretization
-from machstem.gas import GasModel, conserved, free_stream
+from machstem.gas import GasModel, conserved, free_stream, pressure
 from machstem.mesh import GridBlock, TAG_PERIODIC
 from machstem.mms import vortex_ic
 from machstem.stabilization import (kxrcf_indicator, moment_limit,
+                                    positivity_guard, _dips_below_floors,
                                     Stabilizer, make_limiter_hook)
 
 GAS = GasModel()
@@ -178,7 +179,9 @@ def test_tvb_keeps_small_slopes():
 
 def test_stabilizer_always_mode_flags_active_only():
     disc = box_disc(6, 2)
-    disc.active_mask[:2] = False
+    mask = np.ones((6, 6), bool)
+    mask[:2] = False
+    disc.active_mask = mask
     st = Stabilizer(mode="always")
     coeffs = disc.project(shock_ic)
     orig = coeffs.copy()
@@ -205,3 +208,74 @@ def test_stabilizer_records_indicator_and_hook_applies():
 def test_stabilizer_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown stabilization mode"):
         Stabilizer(mode="everywhere")
+
+
+def old_dip_predicate(vals, rho_floor, p_floor):
+    """The guard's node test before the min/max form: two full isfinite
+    scans besides the floor tests."""
+    p = pressure(vals, GAS)
+    return ((vals[0].min(axis=-1) <= rho_floor)
+            | (p.min(axis=-1) <= p_floor)
+            | ~np.isfinite(vals).all(axis=(0, 3))
+            | ~np.isfinite(p).all(axis=-1))
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_guard_flags_exactly_the_cell_with_a_nonfinite_node(order):
+    disc = box_disc(4, order)       # the jump lies on element edges
+    coeffs = disc.project(lambda x, y: shock_ic(x, y, x0=10.0))
+    vals = coeffs @ disc.basis.node_V.T
+    n_vol = disc.basis.vol_V.shape[0]
+
+    def node_major(v):
+        return np.moveaxis(v, -1, 1)
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert not _dips_below_floors(node_major(vals), GAS, 1e-8,
+                                      1e-10).any()
+        for var in range(4):
+            for node in (n_vol // 2, n_vol + 1):     # a volume, a face node
+                for bad in (np.nan, np.inf, -np.inf):
+                    v = vals.copy()
+                    v[var, 1, 2, node] = bad
+                    got = _dips_below_floors(node_major(v), GAS, 1e-8,
+                                             1e-10)
+                    assert np.array_equal(
+                        got, old_dip_predicate(v, 1e-8, 1e-10))
+                    assert np.argwhere(got).tolist() == [[1, 2]]
+
+
+def reference_guard(disc, coeffs, rho_floor=1e-8, p_floor=1e-10):
+    """Every halving pass re-evaluates every active cell (the mean
+    rebuild is not exercised here)."""
+    repaired = 0
+    for _ in range(60):
+        vals = coeffs @ disc.basis.node_V.T
+        bad = old_dip_predicate(vals, rho_floor, p_floor) & disc.active_mask
+        if not bad.any():
+            break
+        coeffs[:, bad, 1:] *= 0.5
+        repaired += int(bad.sum())
+    return repaired
+
+
+def test_guard_shrinks_active_dips_and_leaves_inactive_cells_alone():
+    disc = box_disc(4, 2)
+    mask = np.ones((4, 4), bool)
+    mask[0] = False
+    disc.active_mask = mask
+    coeffs = disc.project(lambda x, y: shock_ic(x, y, x0=10.0))
+    coeffs[0, 2, 1, disc.basis.mode_lin_r] = 3.0 * coeffs[0, 2, 1, 0]
+    coeffs[3, 3, 3, disc.basis.mode_lin_s] = -2.5 * coeffs[3, 3, 3, 0]
+    coeffs[:, 0, 2] = np.nan
+    coeffs[0, 0, 1, disc.basis.mode_lin_r] = 5.0 * coeffs[0, 0, 1, 0]
+    ref = coeffs.copy()
+    n_ref = reference_guard(disc, ref)
+    with np.errstate(invalid="ignore"):
+        n = positivity_guard(disc, coeffs)
+    assert n == n_ref > 2
+    assert np.array_equal(coeffs, ref, equal_nan=True)
+    with np.errstate(invalid="ignore"):
+        vals = np.moveaxis(coeffs @ disc.basis.node_V.T, -1, 1)
+        assert not _dips_below_floors(vals, GAS, 1e-8, 1e-10)[mask].any()
+    assert np.isnan(coeffs[:, 0, 2]).all()
