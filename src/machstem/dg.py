@@ -39,12 +39,17 @@ faces of the active elements.
 
 Which element lies across each face comes from the block's face table
 (``GridBlock.face_pairs``): interior faces, and periodic sides, which
-are whole sides in opposite pairs, each get one flux per pair. The
-remaining boundary sides (``GridBlock.boundary_sides``) take a ghost
-state from the per-face tag arrays: inflow (free-stream Dirichlet
-through the flux), outflow (zero-gradient copy), slip wall
-(normal-velocity mirror), and interface (copy; the overset layer owns
-those faces by overwriting fringe coefficients).
+are whole sides in opposite pairs, each get one flux call per pair. The
+remaining boundary sides (``GridBlock.boundary_sides``) share a single
+flux call: their faces form one batch, side after side in the order of
+``boundary_sides``, each side's faces in element order, and one
+vectorised pass builds every ghost state of the batch from the per-face
+tags: inflow (free-stream Dirichlet through the flux), outflow
+(zero-gradient copy), slip wall (normal-velocity mirror), and interface
+(copy; the overset layer owns those faces by overwriting fringe
+coefficients). A residual thus makes ``len(face_pairs) + 1`` flux calls
+(``len(face_pairs)`` on a fully periodic block). The flux is pointwise,
+so the batch gives the same face values as one call per side.
 """
 
 from __future__ import annotations
@@ -82,6 +87,44 @@ class Discretization:
         # integral of every mode over every element, (ni, nj, n_modes)
         self._mode_integrals = ((basis.vol_weights * self.geo.detJ)
                                 @ basis.vol_V)
+        self._boundary_table()
+
+    def _boundary_table(self):
+        """The batch of all boundary-side faces (module docstring).
+
+        ``_bnd_sides`` holds one ``(face, sel, rows, shape)`` per side:
+        its faces are rows ``rows`` of the batch and have the element
+        shape ``shape`` in the block. The batch's outward normals
+        (n, 1) and ``face_sj`` (1, n, 1) broadcast against its
+        (4, n, nq) traces; ``_bnd_tagged`` maps each ghost-building tag
+        present to the rows that carry it and their normals.
+        """
+        geo, block = self.geo, self.block
+        sides = block.boundary_sides
+        self._bnd_sides = []
+        if not sides:
+            return
+        start = 0
+        for face, sel in sides:
+            shape = geo.face_sj[face][sel].shape
+            rows = slice(start, start + shape[0] * shape[1])
+            self._bnd_sides.append((face, sel, rows, shape))
+            start = rows.stop
+        nrm = np.concatenate([geo.face_normal[f][s].reshape(-1, 2)
+                              for f, s in sides])
+        self._bnd_nx, self._bnd_ny = nrm[:, 0, None], nrm[:, 1, None]
+        self._bnd_sj = np.concatenate(
+            [geo.face_sj[f][s].ravel() for f, s in sides])[None, :, None]
+        tags = np.concatenate([block.tags[f] for f, _ in sides])
+        self._bnd_tagged = {}
+        for tag in (TAG_OUTFLOW, TAG_WALL, TAG_INFLOW):
+            rows = np.flatnonzero(tags == tag)
+            if rows.size == 0:
+                continue
+            if rows[-1] - rows[0] + 1 == rows.size:  # contiguous: a view
+                rows = slice(rows[0], rows[-1] + 1)
+            self._bnd_tagged[tag] = (rows, self._bnd_nx[rows],
+                                     self._bnd_ny[rows])
 
     @property
     def active_mask(self):
@@ -179,46 +222,33 @@ class Discretization:
         return out
 
     # ---- boundary ghosts ---------------------------------------------
-    def _ghost_states(self, q_in, face, nrm):
-        """Ghost trace for one boundary side from the tag array.
-
-        q_in: (4, ni, nj, nq) interior trace of the side's elements, one of
-        ni, nj being 1; nrm: (ni, nj, 2) outward unit normals.
-        """
-        tags = self.block.tags[face].reshape(q_in.shape[1:3])
+    def _ghost_states(self, q_in):
+        """Ghost traces of the boundary-face batch, from its interior
+        traces ``q_in`` (4, n_boundary_faces, nq), in one pass."""
         ghost = q_in.copy()  # outflow / interface default: zero gradient
-        out = tags == TAG_OUTFLOW
-        if np.any(out):
+        tagged = self._bnd_tagged
+        if TAG_OUTFLOW in tagged:
             # one-way boundary: an extrapolated ghost that would carry
             # mass back in (re-entrant normal momentum) gets its normal
             # momentum clipped to zero, otherwise the boundary acts as a
             # reservoir feeding spurious unstarted states
-            nx = nrm[out, 0][:, None]
-            ny = nrm[out, 1][:, None]
-            qo = q_in[:, out, :]
-            vn = qo[1] * nx + qo[2] * ny
-            neg = np.minimum(vn, 0.0)
-            go = qo.copy()
-            go[1] = qo[1] - neg * nx
-            go[2] = qo[2] - neg * ny
-            ghost[:, out, :] = go
-        wall = tags == TAG_WALL
-        if np.any(wall):
-            nx = nrm[wall, 0][:, None]
-            ny = nrm[wall, 1][:, None]
-            qw = q_in[:, wall, :]
+            rows, nx, ny = tagged[TAG_OUTFLOW]
+            qo = q_in[:, rows]
+            neg = np.minimum(qo[1] * nx + qo[2] * ny, 0.0)
+            ghost[1, rows] = qo[1] - neg * nx
+            ghost[2, rows] = qo[2] - neg * ny
+        if TAG_WALL in tagged:
+            rows, nx, ny = tagged[TAG_WALL]
+            qw = q_in[:, rows]
             vn = qw[1] * nx + qw[2] * ny
-            gw = qw.copy()
-            gw[1] = qw[1] - 2.0 * vn * nx
-            gw[2] = qw[2] - 2.0 * vn * ny
-            ghost[:, wall, :] = gw
-        infl = tags == TAG_INFLOW
-        if np.any(infl):
+            ghost[1, rows] = qw[1] - 2.0 * vn * nx
+            ghost[2, rows] = qw[2] - 2.0 * vn * ny
+        if TAG_INFLOW in tagged:
             if self.bc_state is None:
                 raise ValueError(
                     f"block {self.block.name!r}: inflow tag present but no "
                     "free-stream state was given")
-            ghost[:, infl, :] = self.bc_state[:, None, None]
+            ghost[:, tagged[TAG_INFLOW][0]] = self.bc_state[:, None, None]
         return ghost
 
     # ---- residual ----------------------------------------------------
@@ -261,13 +291,17 @@ class Discretization:
             fhat *= geo.face_sj[fa][sa][None, ..., None]
             slot[fa][(v, *sa)] = fhat
             np.negative(fhat, out=slot[fb][(v, *sb)])
-        for face, sel in self.block.boundary_sides:
-            n = geo.face_normal[face][sel]
-            q_in = tr[face][(v, *sel)]
-            fhat = self.flux(q_in, self._ghost_states(q_in, face, n),
-                             n[..., 0, None], n[..., 1, None], gas)
-            np.multiply(fhat, geo.face_sj[face][sel][None, ..., None],
-                        out=slot[face][(v, *sel)])
+        # every boundary side in one batch: gather, ghost, one flux call,
+        # scatter back into the slots
+        if self._bnd_sides:
+            q_in = np.empty((4, self._bnd_sj.shape[1], nf))
+            for face, sel, rows, _ in self._bnd_sides:
+                q_in[:, rows] = tr[face][(v, *sel)].reshape(4, -1, nf)
+            fhat = self.flux(q_in, self._ghost_states(q_in),
+                             self._bnd_nx, self._bnd_ny, gas)
+            fhat *= self._bnd_sj
+            for face, sel, rows, shape in self._bnd_sides:
+                slot[face][(v, *sel)] = fhat[:, rows].reshape(4, *shape, nf)
         rhs += S[act] @ self._lift
 
         rhs = self.inverse_mass(rhs, self.active_sel)

@@ -368,6 +368,17 @@ class TransferOp:
         rows = receiver_disc.inverse_mass(
             rb.vol_V[:, None, :] * wdet[..., None], fringe_mask)
         self.proj = np.ascontiguousarray(rows.transpose(1, 2, 0))
+        # contraction orders, found once from the operand shapes;
+        # zero-stride stand-ins take the place of the per-call operands
+        def path(subscripts, fixed, call_shape):
+            stand_in = np.broadcast_to(0.0, call_shape)
+            return np.einsum_path(subscripts, fixed, stand_in,
+                                  optimize=True)[0]
+
+        self._paths = (
+            path("fqd,vfqd->vfq", self.donor_basis,
+                 (4, *self.donor_basis.shape)),
+            path("fpq,vfq->vfp", self.proj, (4, nf, nq)))
 
     def __call__(self, donor_coeffs, receiver_coeffs):
         if self.proj is None:
@@ -375,8 +386,9 @@ class TransferOp:
         dflat = donor_coeffs.reshape(4, -1, donor_coeffs.shape[-1])
         gathered = dflat[:, self.donor_flat]          # (4, nf, nq, Npd)
         vals = np.einsum("fqd,vfqd->vfq", self.donor_basis, gathered,
-                         optimize=True)
-        proj = np.einsum("fpq,vfq->vfp", self.proj, vals, optimize=True)
+                         optimize=self._paths[0])
+        proj = np.einsum("fpq,vfq->vfp", self.proj, vals,
+                         optimize=self._paths[1])
         receiver_coeffs[:, self.fringe_idx[:, 0], self.fringe_idx[:, 1]] = proj
 
 

@@ -448,7 +448,6 @@ def _check_background_clean(disc, coeffs, variables, threshold):
             f"{n} active background element(s) of the settled fine "
             f"solution, first at ({i}, {j}); the aligned patch does not "
             "enclose the whole shock system")
-    return 0
 
 
 def _fine_discs(case, cfg, ov_block):
@@ -577,9 +576,8 @@ def run_fine(case, cfg, coarse, seed, *, on_log=None):
     if assembly is not None:
         invariants["overset_guard_activations"] = stabs[1].guard_activations
         invariants["overset_limiter_activations"] = stabs[1].limited_cells
-    invariants["background_final_flags"] = _check_background_clean(
-        discs[0], coeffs[0], _indicator_vars(cfg),
-        cfg["stabilization.threshold"])
+    _check_background_clean(discs[0], coeffs[0], _indicator_vars(cfg),
+                            cfg["stabilization.threshold"])
 
     cell = math.sqrt(float(np.median(discs[-1].geo.element_area)))
     measurement = None

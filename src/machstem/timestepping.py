@@ -77,36 +77,34 @@ class System:
         return [d.residual(c) for d, c in zip(self.discs, coeffs_list)]
 
     def max_wave_speed(self, coeffs_list):
-        out = 0.0
-        for d, c in zip(self.discs, coeffs_list):
-            s = d.max_wave_speed(c)[d.active_mask]
-            if s.size:
-                out = max(out, float(np.max(s)))
-        return out
+        """Per-block (ni, nj) arrays of the element max |u| + a, zero at
+        inactive elements."""
+        return [d.max_wave_speed(c) for d, c in zip(self.discs, coeffs_list)]
 
     def stable_dt(self, coeffs_list, cfl):
-        """cfl * min over active elements of h / ((2N+1) * wave speed)."""
+        """``(dt, wave)``: dt is cfl * min over active elements of
+        h / ((2N+1) * wave speed), wave the max wave speed over them,
+        both from one ``max_wave_speed`` call."""
         dt = np.inf
-        for d, c in zip(self.discs, coeffs_list):
-            lam = d.max_wave_speed(c)
-            denom = (2 * d.basis.order + 1) * lam
-            local = d.geo.h_dt / np.maximum(denom, 1e-300)
-            act = local[d.active_mask]
-            if act.size:
-                dt = min(dt, float(np.min(act)))
+        wave = 0.0
+        for d, lam in zip(self.discs, self.max_wave_speed(coeffs_list)):
+            lam = lam[d.active_mask]
+            if lam.size:
+                denom = (2 * d.basis.order + 1) * lam
+                local = d.geo.h_dt[d.active_mask] / np.maximum(denom, 1e-300)
+                dt = min(dt, float(np.min(local)))
+                wave = max(wave, float(np.max(lam)))
         if not np.isfinite(dt):
             raise DivergenceError("wave speed is not finite; state blew up")
-        return cfl * dt
+        return cfl * dt, wave
 
     def density_residual(self, rhs_list):
         """Volume-weighted RMS of the density rate over active elements."""
         num = 0.0
         den = 0.0
         for d, r in zip(self.discs, rhs_list):
-            rate = np.einsum("qp,ijp->ijq", d.basis.vol_V,
-                             r[0], optimize=True)
-            cell = np.einsum("q,ijq,ijq->ij", d.basis.vol_weights,
-                             rate * rate, d.geo.detJ, optimize=True)
+            rate = r[0] @ d.basis.vol_V.T
+            cell = (rate * rate * d.geo.detJ) @ d.basis.vol_weights
             num += float(cell[d.active_mask].sum())
             den += float(d.geo.element_area[d.active_mask].sum())
         return np.sqrt(num / den)
@@ -151,10 +149,9 @@ def march_to_steady(system, coeffs_list, *, cfl=0.3, max_iterations=1000,
             frac = min(1.0, it / float(cfl_ramp_iters))
             cfl_now = lo + (cfl - lo) * frac
         try:
-            dt = system.stable_dt(coeffs_list, cfl_now)
+            dt, wave = system.stable_dt(coeffs_list, cfl_now)
         except DivergenceError:
             return MarchResult("diverged", it - 1, resid, history)
-        wave = system.max_wave_speed(coeffs_list)
 
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             # SSP three-stage scheme (each stage a convex blend of
@@ -197,7 +194,7 @@ def advance_time(system, coeffs_list, t_final, *, cfl=0.3):
     t = 0.0
     system.apply_hooks(coeffs_list)
     while t < t_final - 1e-14:
-        dt = min(system.stable_dt(coeffs_list, cfl), t_final - t)
+        dt = min(system.stable_dt(coeffs_list, cfl)[0], t_final - t)
         k = [system.rhs(coeffs_list)]
         for i in range(1, N_STAGES):
             stage = [c.copy() for c in coeffs_list]

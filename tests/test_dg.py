@@ -210,23 +210,53 @@ def random_admissible_state(disc, seed):
     return coeffs
 
 
+MIXED_NORTH = [TAG_INFLOW, TAG_OUTFLOW, TAG_WALL, TAG_INTERFACE, TAG_WALL]
+LAYOUTS = {
+    "mixed": {FACE_W: TAG_INFLOW, FACE_E: TAG_OUTFLOW, FACE_S: TAG_WALL,
+              FACE_N: MIXED_NORTH},
+    "periodic": {f: TAG_PERIODIC for f in (FACE_W, FACE_E, FACE_S, FACE_N)},
+    # a wrap pair plus a boundary batch of only two tagged sides
+    "half-periodic": {FACE_W: TAG_PERIODIC, FACE_E: TAG_PERIODIC,
+                      FACE_S: TAG_WALL, FACE_N: MIXED_NORTH},
+}
+
+
 @pytest.mark.parametrize("order", [1, 2, 4])
 @pytest.mark.parametrize("flux_name", ["lax_friedrichs", "slau2"])
-@pytest.mark.parametrize("tags", [
-    {FACE_W: TAG_INFLOW, FACE_E: TAG_OUTFLOW, FACE_S: TAG_WALL,
-     FACE_N: [TAG_INFLOW, TAG_OUTFLOW, TAG_WALL, TAG_INTERFACE, TAG_WALL]},
-    {f: TAG_PERIODIC for f in (FACE_W, FACE_E, FACE_S, FACE_N)},
-], ids=["mixed", "periodic"])
-def test_residual_matches_loop_per_element_reference(order, flux_name, tags):
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_residual_matches_loop_per_element_reference(order, flux_name,
+                                                     layout):
     """The face table pairs every face with the element, wrap or ghost
     that an element-by-element index rule finds."""
-    blk = wavy_block(5, 4, tags=tags)
+    blk = wavy_block(5, 4, tags=LAYOUTS[layout])
     disc = Discretization(blk, Basis(order), GAS, flux=flux_name,
                           bc_state=free_stream(3.0, GAS))
     coeffs = random_admissible_state(disc, seed=11 * order)
     got = disc.residual(coeffs)
     ref = reference_residual(disc, coeffs)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_residual_makes_one_flux_call_for_all_boundary_sides(layout):
+    """One flux call per face pair, plus one for the whole boundary
+    batch when the block has boundary sides."""
+    from machstem.fluxes import lax_friedrichs
+    blk = wavy_block(5, 4, tags=LAYOUTS[layout])
+    calls = []
+
+    def counting_flux(qL, qR, nx, ny, gas):
+        calls.append(qL.shape)
+        return lax_friedrichs(qL, qR, nx, ny, gas)
+
+    disc = Discretization(blk, Basis(2), GAS, flux=counting_flux,
+                          bc_state=free_stream(3.0, GAS))
+    disc.residual(random_admissible_state(disc, seed=4))
+    assert len(calls) == (len(blk.face_pairs)
+                          + (1 if blk.boundary_sides else 0))
+    if blk.boundary_sides:  # the last call carries every boundary face
+        assert calls[-1][1] == sum(blk.tags[f].size
+                                   for f, _ in blk.boundary_sides)
 
 
 def periodic_vortex_disc(n, order, scale=1.0, distort=True):

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from machstem import mesh, pipeline
+from machstem.basis import Basis
 from machstem.config import parse_config
+from machstem.dg import Discretization
 from machstem.errors import AssemblyError
+from machstem.gas import conserved
 from machstem.io import verify_manifest
 from machstem.pipeline import (
     ShockSegment,
@@ -188,6 +191,31 @@ def test_run_key_tracks_physics_sections_only():
     assert len(run_key(a)) == 12
 
 
+def test_background_check_names_first_troubled_active_cell():
+    """An unlimited contact in the background trips the settled-state
+    check, which names the first flagged active element; a uniform
+    state passes."""
+    gas = FlowCase(mach=3.0, wedge_angle_deg=16.0).gas
+    verts = np.zeros((17, 9, 2))
+    verts[..., 0] = np.linspace(0.0, 1.0, 17)[:, None]
+    verts[..., 1] = np.linspace(0.0, 0.5, 9)[None, :]
+    disc = Discretization(mesh.GridBlock(verts), Basis(2), gas)
+    active = np.ones((16, 8), bool)
+    active[:, :3] = False
+    disc.active_mask = active
+
+    def contact(x, y):
+        return conserved(np.where(x < 0.5, 1.0, 2.0), np.ones_like(x),
+                         np.zeros_like(x), np.ones_like(x), gas)
+
+    check = pipeline._check_background_clean
+    uniform = disc.project_constant(conserved(1.0, 1.0, 0.0, 1.0, gas))
+    assert check(disc, uniform, (0,), 1.0) is None
+    with pytest.raises(AssemblyError, match=r"on 5 active .* first at "
+                                            r"\(8, 3\)"):
+        check(disc, disc.project(contact), (0,), 1.0)
+
+
 # the tiny regular-reflection case of the benchmark's smoke-rr workload
 # (16 deg is well below the M=3 von Neumann angle of 19.656 deg)
 SMOKE = {
@@ -215,7 +243,6 @@ def test_pipeline_smoke_rr_then_restart(tmp_path, monkeypatch):
     inv = first.invariants
     assert inv["containment_checked"]
     assert inv["background_checked_iterations"] == 100
-    assert inv["background_final_flags"] == 0
     # measured: the background is guarded only, the patch is limited
     assert inv["background_limiter_activations"] == 0
     assert inv["overset_limiter_activations"] > 0

@@ -66,7 +66,32 @@ def test_stable_dt_reference_value():
     disc = Discretization(blk, Basis(1), GAS, bc_state=q_inf)
     sys = System([disc])
     coeffs = disc.project_constant(q_inf)
-    assert np.isclose(sys.stable_dt([coeffs], 0.3), 2.5e-4, rtol=1e-12)
+    dt, wave = sys.stable_dt([coeffs], 0.3)
+    assert np.isclose(dt, 2.5e-4, rtol=1e-12)
+    assert np.isclose(wave, 4.0, rtol=1e-12)
+
+
+def test_march_evaluates_wave_speed_once_per_iteration(monkeypatch):
+    """The step size and the logged wave speed share one evaluation."""
+    q_inf = free_stream(3.0, GAS)
+    discs = [Discretization(cartesian_block(4, 3, lx=lx,
+                                            tags={FACE_W: TAG_INFLOW}),
+                            Basis(1), GAS, bc_state=q_inf)
+             for lx in (1.0, 0.5)]
+    calls = {id(d): 0 for d in discs}
+    wave_speed = Discretization.max_wave_speed
+
+    def counting(disc, coeffs):
+        calls[id(disc)] += 1
+        return wave_speed(disc, coeffs)
+
+    monkeypatch.setattr(Discretization, "max_wave_speed", counting)
+    res = march_to_steady(System(discs),
+                          [d.project_constant(q_inf) for d in discs],
+                          max_iterations=5, tol=0.0)
+    assert res.iterations == 5
+    assert list(calls.values()) == [5, 5]
+    assert all(np.isclose(row[2], 4.0, rtol=1e-12) for row in res.history)
 
 
 def test_march_converges_on_uniform_channel():
@@ -100,10 +125,7 @@ def test_march_reports_divergence_without_raising():
             pass
 
         def stable_dt(self, cl, cfl):
-            return 0.1
-
-        def max_wave_speed(self, cl):
-            return 1.0
+            return 0.1, 1.0
 
         def rhs(self, cl):
             return [10.0 * c for c in cl]
