@@ -162,10 +162,8 @@ def _cmd_sweep(args):
     log = None if args.quiet else print
     runner = make_sweep_runner(cfg, reuse=not args.fresh, on_log=log)
     rows = hysteresis_sweep(
-        runner, cfg["case.mach"], angles,
-        restart_seed=cfg["sweep.restart_seed"] or None,
-        chain=bool(cfg["sweep.chain"]),
-        make_case=lambda m, ang: _sweep_case(cfg, m, ang))
+        runner, angles, restart_seed=cfg["sweep.restart_seed"] or None,
+        chain=bool(cfg["sweep.chain"]))
     text = sweep_table_csv(rows)
     Path(args.out).write_text(text)
     print(text, end="")
@@ -182,14 +180,6 @@ def _cmd_sweep(args):
                       ["wedge_angle_deg", "stem_ratio_impulsive",
                        "stem_ratio_restart"])
     return 0
-
-
-def _sweep_case(cfg, mach, angle):
-    from .config import case_from_config
-    c = dict(cfg)
-    c["case.mach"] = mach
-    c["case.wedge_angle_deg"] = angle
-    return case_from_config(c)
 
 
 def _cmd_convergence(args):

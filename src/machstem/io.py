@@ -97,17 +97,6 @@ def write_troubled_csv(path, entries):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_troubled_csv(path):
-    """Inverse of `write_troubled_csv`: {block_id: [(i, j, ind, flag)]}."""
-    out = {}
-    lines = Path(path).read_text().strip().splitlines()
-    for line in lines[1:]:
-        name, i, j, ind, flag = line.split(",")
-        out.setdefault(name, []).append(
-            (int(i), int(j), float(ind), bool(int(flag))))
-    return out
-
-
 def write_classification_csv(path, assembly):
     """Element activity classification of an overset assembly as CSV."""
     lines = ["block_id,i,j,status"]

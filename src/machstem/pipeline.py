@@ -54,12 +54,6 @@ class ShockSegment:
     point: tuple          # TLS line: point + t * direction
     direction: tuple
 
-    def y_at(self, x):
-        dx, dy = self.direction
-        if abs(dx) < 1e-12:
-            return self.point[1]
-        return self.point[1] + (x - self.point[0]) * dy / dx
-
     def intersect(self, other):
         mat = np.array([self.direction, [-other.direction[0],
                                          -other.direction[1]]]).T
@@ -211,10 +205,6 @@ def _label_segments(segments, case, cell_size):
             s.label = "slipline"
 
 
-def flagged_centroids(block, flagged):
-    return block.element_centroids()[flagged]
-
-
 # ---------------------------------------------------------------------------
 # coarse stage
 
@@ -277,7 +267,7 @@ def run_coarse(case, cfg, *, seed_coeffs=None, on_log=None):
     ind, flagged = kxrcf_indicator(disc, coeffs, _indicator_vars(cfg),
                                    cfg["stabilization.flag_threshold"])
     cell = math.sqrt(float(np.median(disc.geo.element_area)))
-    segments = fit_shock_paths(flagged_centroids(disc.block, flagged), cell,
+    segments = fit_shock_paths(disc.block.element_centroids()[flagged], cell,
                                case=case)
     return CoarseResult(disc, coeffs, march, ind, flagged, segments, cell)
 
@@ -517,7 +507,7 @@ def run_fine(case, cfg, coarse, seed, *, on_log=None):
     guard; the background is never limited.  With no flagged cell there
     is no patch: the background marches alone and nothing is measured.
     """
-    flag_pts = flagged_centroids(coarse.disc.block, coarse.flagged)
+    flag_pts = coarse.disc.block.element_centroids()[coarse.flagged]
     grid_file = cfg["overset.grid_file"]
     if grid_file:
         ov_block = mesh.GridBlock.read(grid_file, name="overset")
@@ -525,18 +515,6 @@ def run_fine(case, cfg, coarse, seed, *, on_log=None):
     else:
         ov_block = build_aligned_grid(case, cfg, flag_pts, coarse.segments)
     discs = _fine_discs(case, cfg, ov_block)
-    invariants = {
-        "flux_routing": {d.block.name: d.flux_name for d in discs},
-        "containment_checked": False,
-    }
-    routing_ok = (discs[0].flux_name == cfg["solver.background_flux"] and
-                  (len(discs) == 1 or
-                   discs[1].flux_name == cfg["solver.overset_flux"]))
-    if not routing_ok:
-        raise AssemblyError("flux routing broken: background must use "
-                            f"{cfg['solver.background_flux']} and the patch "
-                            f"{cfg['solver.overset_flux']}, got "
-                            f"{invariants['flux_routing']}")
 
     # the background gets the admissibility guard only, never a limiter
     stabs = [Stabilizer(mode="off", positivity=True)]
@@ -549,7 +527,6 @@ def run_fine(case, cfg, coarse, seed, *, on_log=None):
             raise AssemblyError(
                 f"containment violated: flagged coarse cell at ({x:.3f}, "
                 f"{y:.3f}) lies outside the aligned patch")
-        invariants["containment_checked"] = True
         assembly = OversetAssembly(
             discs[0], discs[1], hole_margin=cfg["overset.hole_margin"],
             fringe_width=cfg["overset.fringe_width"],
@@ -570,9 +547,7 @@ def run_fine(case, cfg, coarse, seed, *, on_log=None):
         raise DivergenceError(
             f"fine stage diverged after {march.iterations} iterations "
             f"(residual {march.residual:.3e})")
-    invariants["background_checked_iterations"] = march.iterations
-    invariants["background_guard_activations"] = stabs[0].guard_activations
-    invariants["background_limiter_activations"] = stabs[0].limited_cells
+    invariants = {"background_guard_activations": stabs[0].guard_activations}
     if assembly is not None:
         invariants["overset_guard_activations"] = stabs[1].guard_activations
         invariants["overset_limiter_activations"] = stabs[1].limited_cells
@@ -749,12 +724,10 @@ def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
 
 
 def make_sweep_runner(base_cfg, *, reuse=True, on_log=None):
-    """Adapter running one sweep entry through the cached pipeline."""
-    def runner(case, restart_from):
+    """Adapter running one sweep angle through the cached pipeline."""
+    def runner(angle_deg, restart_from):
         cfg = dict(base_cfg)
-        cfg["case.mach"] = case.mach
-        cfg["case.wedge_angle_deg"] = case.wedge_angle_deg
-        cfg["case.aspect"] = case.aspect
+        cfg["case.wedge_angle_deg"] = angle_deg
         cfg["case.init"] = ("impulsive" if restart_from is None
                             else f"restart:{restart_from}")
         summary = run_pipeline(cfg, reuse=reuse, on_log=on_log)

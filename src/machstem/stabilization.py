@@ -196,16 +196,14 @@ def positivity_guard(disc, coeffs, rho_floor=1e-8, p_floor=1e-10):
 class Stabilizer:
     """Per-block limiting policy: indicator-gated, always-on, or off.
 
-    Records the most recent indicator field and flag map so drivers can
-    export troubled-cell diagnostics without recomputation, and sums the
+    Records the most recent flag map in ``last_flagged`` and sums the
     cells it limits over all calls in ``limited_cells``.  With
     ``positivity`` set, the positivity guard runs after the limiter and
     its cell-repair count accumulates in ``guard_activations``.
     """
 
     def __init__(self, mode="indicator", variables=(0,), threshold=1.0,
-                 tvb_m=0.0, positivity=False, rho_floor=1e-8,
-                 p_floor=1e-10):
+                 tvb_m=0.0, positivity=False):
         if mode not in ("indicator", "always", "off"):
             raise ValueError(f"unknown stabilization mode {mode!r}")
         self.mode = mode
@@ -213,29 +211,23 @@ class Stabilizer:
         self.threshold = threshold
         self.tvb_m = tvb_m
         self.positivity = positivity
-        self.rho_floor = rho_floor
-        self.p_floor = p_floor
         self.guard_activations = 0
         self.limited_cells = 0
-        self.last_indicator = None
         self.last_flagged = None
 
     def __call__(self, disc, coeffs):
         if self.mode != "off":
             if self.mode == "always":
                 flagged = disc.active_mask.copy()
-                self.last_indicator = np.full(flagged.shape, np.inf)
             else:
-                ind, flagged = kxrcf_indicator(disc, coeffs, self.variables,
-                                               self.threshold)
+                _, flagged = kxrcf_indicator(disc, coeffs, self.variables,
+                                             self.threshold)
                 flagged &= disc.active_mask
-                self.last_indicator = ind
             self.last_flagged = flagged
             self.limited_cells += int(flagged.sum())
             moment_limit(disc, coeffs, flagged, self.tvb_m)
         if self.positivity:
-            self.guard_activations += positivity_guard(
-                disc, coeffs, self.rho_floor, self.p_floor)
+            self.guard_activations += positivity_guard(disc, coeffs)
 
 
 def make_limiter_hook(discs, stabilizers):

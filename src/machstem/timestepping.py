@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import DivergenceError
 
-# six-stage fifth-order explicit tableau (verified order 5.0 on
-# nonautonomous nonlinear scalar problems)
-RK_C = np.array([0.0, 0.25, 0.25, 0.5, 0.75, 1.0])
+# six-stage fifth-order explicit tableau; its stage times (0, 1/4, 1/4,
+# 1/2, 3/4, 1) are not stored, as no right-hand side depends on time
 RK_A = [
     [],
     [1.0 / 4.0],
@@ -37,22 +36,6 @@ RK_A = [
 ]
 RK_B = np.array([7.0, 0.0, 32.0, 12.0, 32.0, 7.0]) / 90.0
 N_STAGES = 6
-
-
-def rk_step(f, t, y, dt):
-    """One step for a plain ODE right-hand side ``f(t, y)``."""
-    k = []
-    for i in range(N_STAGES):
-        yi = y
-        for aij, kj in zip(RK_A[i], k):
-            if aij != 0.0:
-                yi = yi + dt * aij * kj
-        k.append(f(t + RK_C[i] * dt, yi))
-    out = y
-    for bi, ki in zip(RK_B, k):
-        if bi != 0.0:
-            out = out + dt * bi * ki
-    return out
 
 
 class System:
@@ -84,7 +67,8 @@ class System:
     def stable_dt(self, coeffs_list, cfl):
         """``(dt, wave)``: dt is cfl * min over active elements of
         h / ((2N+1) * wave speed), wave the max wave speed over them,
-        both from one ``max_wave_speed`` call."""
+        both from one ``max_wave_speed`` call. Raises ``DivergenceError``
+        when the wave speed of any active element is not finite."""
         dt = np.inf
         wave = 0.0
         for d, lam in zip(self.discs, self.max_wave_speed(coeffs_list)):
@@ -92,11 +76,12 @@ class System:
             if lam.size:
                 denom = (2 * d.basis.order + 1) * lam
                 local = d.geo.h_dt[d.active_mask] / np.maximum(denom, 1e-300)
-                dt = min(dt, float(np.min(local)))
-                wave = max(wave, float(np.max(lam)))
-        if not np.isfinite(dt):
+                # np.minimum and np.maximum keep a NaN; min and max drop it
+                dt = np.minimum(dt, np.min(local))
+                wave = np.maximum(wave, np.max(lam))
+        if not (np.isfinite(dt) and np.isfinite(wave)):
             raise DivergenceError("wave speed is not finite; state blew up")
-        return cfl * dt, wave
+        return cfl * float(dt), float(wave)
 
     def density_residual(self, rhs_list):
         """Volume-weighted RMS of the density rate over active elements."""

@@ -309,11 +309,10 @@ def _row_entry(measurement):
     return f"{measurement.stem_height_ratio:.4f}"
 
 
-def hysteresis_sweep(runner, mach, angles_deg, *, seed_angle=None,
-                     restart_seed=None, chain=True, make_case=None):
+def hysteresis_sweep(runner, angles_deg, *, restart_seed=None, chain=True):
     """Run every angle twice: impulsively started and restart-seeded.
 
-    `runner(case, restart_from)` converges one case and returns
+    `runner(angle_deg, restart_from)` converges one case and returns
     `(measurement, checkpoint_path)`; `restart_from` is None for an
     impulsive start.  The restart branch walks the angles in descending
     order; with `chain=True` (default) each case is seeded with the
@@ -323,29 +322,26 @@ def hysteresis_sweep(runner, mach, angles_deg, *, seed_angle=None,
     given.  Failures are recorded in the table and the sweep continues.
     """
     angles = sorted(set(float(a) for a in angles_deg), reverse=True)
-    if make_case is None:
-        make_case = lambda m, ang: FlowCase(mach=m, wedge_angle_deg=ang)
     rows = {a: SweepRow(a, "", "") for a in angles}
 
     impulsive_ckpt = {}
     for a in angles:
         try:
-            meas, ckpt = runner(make_case(mach, a), None)
+            meas, ckpt = runner(a, None)
             rows[a].impulsive = _row_entry(meas)
             impulsive_ckpt[a] = ckpt
         except Exception as exc:               # recorded, sweep continues
             rows[a].impulsive = f"error: {exc}"
 
     if restart_seed is None:
-        seed = seed_angle if seed_angle is not None else angles[0]
-        restart_seed = impulsive_ckpt.get(seed)
+        restart_seed = impulsive_ckpt.get(angles[0])
     prev = restart_seed
     for a in angles:
         if prev is None:
             rows[a].restart = "error: no seed solution available"
             continue
         try:
-            meas, ckpt = runner(make_case(mach, a), prev)
+            meas, ckpt = runner(a, prev)
             rows[a].restart = _row_entry(meas)
             if chain:
                 prev = ckpt

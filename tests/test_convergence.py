@@ -43,3 +43,9 @@ def test_report_formatting():
 def test_unknown_layout_rejected():
     with pytest.raises(ValueError):
         run_study(1, "three-block")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("layout", ["single", "two-block"])
+def test_p1_study_converges_at_second_order(layout):
+    assert run_study(1, layout).slope >= 1.9

@@ -64,12 +64,11 @@ def test_troubled_csv_roundtrip(tmp_path):
     ind[0, 0] = 0.3
     path = tmp_path / "cells.csv"
     io.write_troubled_csv(path, [("bg", ind, flagged)])
-    back = io.read_troubled_csv(path)
-    assert set(back) == {"bg"}
-    rows = {(i, j): (v, f) for i, j, v, f in back["bg"]}
-    assert rows[(1, 2)] == (pytest.approx(2.5), True)
-    assert rows[(0, 0)] == (pytest.approx(0.3), False)
-    assert (2, 2) not in rows  # untouched cells are not listed
+    # untouched cells are not listed
+    assert path.read_text().splitlines() == [
+        "block_id,i,j,indicator_value,flagged",
+        "bg,0,0,3.000000e-01,0",
+        "bg,1,2,2.500000e+00,1"]
 
 
 def test_troubled_csv_deterministic(tmp_path):

@@ -241,10 +241,7 @@ def test_pipeline_smoke_rr_then_restart(tmp_path, monkeypatch):
     assert first.measurement["classification"] == "RR"
     assert verify_manifest(first.run_dir)[1] == []
     inv = first.invariants
-    assert inv["containment_checked"]
-    assert inv["background_checked_iterations"] == 100
-    # measured: the background is guarded only, the patch is limited
-    assert inv["background_limiter_activations"] == 0
+    # measured: the patch is limited
     assert inv["overset_limiter_activations"] > 0
     result = json.loads((first.run_dir / "result.json").read_text())
     assert result["invariants"]["overset_limiter_activations"] == \
@@ -275,7 +272,7 @@ def test_sweep_runner_measurement_from_summary(tmp_path, monkeypatch):
                         pipeline.RunSummary(tmp_path, doc, {}, "stalled",
                                             "stalled", True))
     runner = pipeline.make_sweep_runner(parse_config(None))
-    meas, ckpt = runner(FlowCase(mach=3.0, wedge_angle_deg=24.0), None)
+    meas, ckpt = runner(24.0, None)
     assert meas == StemMeasurement("MR", 0.2, (1.1, 0.2), {})
     assert ckpt == str(tmp_path / "checkpoint")
 
@@ -289,12 +286,8 @@ def test_pipeline_without_shock_marches_background_alone(tmp_path):
         "solver.fine_max_iterations": "10"}))
     summary = run_pipeline(cfg, run_dir=tmp_path, reuse=False)
     assert summary.measurement == {"classification": "none"}
-    assert not summary.invariants["containment_checked"]
     assert "overset_guard_activations" not in summary.invariants
-    result = json.loads((tmp_path / "result.json").read_text())
     assert summary.fine_outcome == "converged"
-    assert summary.invariants["background_checked_iterations"] == \
-        result["fine_iterations"]
     assert verify_manifest(tmp_path)[1] == []
     assert sorted(p.name for p in summary.checkpoint.iterdir()) == \
         ["checkpoint.json", "coeffs_background.npy"]

@@ -3,9 +3,10 @@ import pytest
 
 from machstem.basis import Basis, FACE_W, FACE_E, FACE_S, FACE_N
 from machstem.dg import Discretization
+from machstem.errors import DivergenceError
 from machstem.gas import GasModel, free_stream
 from machstem.mesh import GridBlock, TAG_INFLOW, TAG_OUTFLOW
-from machstem.timestepping import (rk_step, System, march_to_steady,
+from machstem.timestepping import (System, march_to_steady,
                                    advance_time, save_checkpoint,
                                    load_checkpoint, RK_B)
 
@@ -25,37 +26,35 @@ def test_rk_weights_sum_to_one():
     assert np.isclose(RK_B.sum(), 1.0, atol=1e-15)
 
 
-def test_rk_order_exceeds_4p9_on_linear_decay():
-    """Richardson order estimate on y' = -y over [0, 2]."""
-    f = lambda t, y: -y
+class ScalarODE:
+    """Duck-typed system for ``advance_time``: y' = f(y), fixed step."""
 
+    def __init__(self, f, dt):
+        self.f, self.dt = f, dt
+
+    def apply_hooks(self, coeffs_list):
+        pass
+
+    def rhs(self, coeffs_list):
+        return [self.f(c) for c in coeffs_list]
+
+    def stable_dt(self, coeffs_list, cfl):
+        return self.dt, 0.0
+
+
+@pytest.mark.parametrize("f, y0, exact", [
+    (lambda y: -y, 1.0, np.exp(-2.0)),
+    (lambda y: y * (1.0 - y), 0.1, 1.0 / (1.0 + 9.0 * np.exp(-2.0))),
+], ids=["linear-decay", "logistic"])
+def test_rk_order_exceeds_4p9_through_advance_time(f, y0, exact):
+    """Richardson order estimate over [0, 2] from 20 and 40 steps."""
     def err(n):
-        dt = 2.0 / n
-        y, t = 1.0, 0.0
-        for _ in range(n):
-            y = rk_step(f, t, y, dt)
-            t += dt
-        return abs(y - np.exp(-2.0))
+        y = [np.array([y0])]
+        t = advance_time(ScalarODE(f, 2.0 / n), y, 2.0)
+        assert np.isclose(t, 2.0, atol=1e-13)
+        return abs(y[0][0] - exact)
 
-    e1, e2 = err(20), err(40)
-    order = np.log2(e1 / e2)
-    assert order >= 4.9
-
-
-def test_rk_order_on_nonlinear_problem():
-    f = lambda t, y: y * np.sin(t) ** 2
-    exact = np.exp(1.0 - np.sin(4.0) / 4.0)
-
-    def err(n):
-        dt = 2.0 / n
-        y, t = 1.0, 0.0
-        for _ in range(n):
-            y = rk_step(f, t, y, dt)
-            t += dt
-        return abs(y - exact)
-
-    order = np.log2(err(20) / err(40))
-    assert order >= 4.9
+    assert np.log2(err(20) / err(40)) >= 4.9
 
 
 def test_stable_dt_reference_value():
@@ -69,6 +68,21 @@ def test_stable_dt_reference_value():
     dt, wave = sys.stable_dt([coeffs], 0.3)
     assert np.isclose(dt, 2.5e-4, rtol=1e-12)
     assert np.isclose(wave, 4.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("nan_block", [0, 1])
+def test_stable_dt_raises_on_nan_in_any_block(nan_block):
+    """One NaN element in either of two blocks is a blow-up; Python's min
+    and max would drop the NaN and return a finite dt."""
+    q_inf = free_stream(3.0, GAS)
+    discs = [Discretization(cartesian_block(4, 3, lx=lx,
+                                            tags={FACE_W: TAG_INFLOW}),
+                            Basis(1), GAS, bc_state=q_inf)
+             for lx in (1.0, 0.5)]
+    coeffs = [d.project_constant(q_inf) for d in discs]
+    coeffs[nan_block][:, 1, 1] = np.nan
+    with pytest.raises(DivergenceError, match="not finite"):
+        System(discs).stable_dt(coeffs, 0.3)
 
 
 def test_march_evaluates_wave_speed_once_per_iteration(monkeypatch):

@@ -175,13 +175,13 @@ def _rr_measurement():
 def test_hysteresis_sweep_two_branches():
     calls = []
 
-    def runner(case, restart_from):
-        calls.append((case.wedge_angle_deg, restart_from))
-        mr = restart_from is not None or case.wedge_angle_deg > 22.0
+    def runner(angle, restart_from):
+        calls.append((angle, restart_from))
+        mr = restart_from is not None or angle > 22.0
         m = _mr_measurement(0.1) if mr else _rr_measurement()
-        return m, f"ckpt-{case.wedge_angle_deg:g}"
+        return m, f"ckpt-{angle:g}"
 
-    rows = hysteresis_sweep(runner, 3.0, [24.0, 21.0, 19.6])
+    rows = hysteresis_sweep(runner, [24.0, 21.0, 19.6])
     assert [r.angle_deg for r in rows] == [24.0, 21.0, 19.6]
     assert rows[0].impulsive == "0.1000"
     assert rows[1].impulsive == "RR"
@@ -194,22 +194,22 @@ def test_hysteresis_sweep_two_branches():
 def test_hysteresis_sweep_unchained_uses_fixed_seed():
     seeds = []
 
-    def runner(case, restart_from):
+    def runner(angle, restart_from):
         if restart_from is not None:
             seeds.append(restart_from)
-        return _rr_measurement(), f"ckpt-{case.wedge_angle_deg:g}"
+        return _rr_measurement(), f"ckpt-{angle:g}"
 
-    hysteresis_sweep(runner, 3.0, [24.0, 21.0, 19.6], chain=False)
+    hysteresis_sweep(runner, [24.0, 21.0, 19.6], chain=False)
     assert seeds == ["ckpt-24", "ckpt-24", "ckpt-24"]
 
 
 def test_hysteresis_sweep_row_error_is_recorded():
-    def runner(case, restart_from):
-        if case.wedge_angle_deg < 20.0 and restart_from is None:
+    def runner(angle, restart_from):
+        if angle < 20.0 and restart_from is None:
             raise MeasurementError("no front found")
         return _rr_measurement(), "ckpt"
 
-    rows = hysteresis_sweep(runner, 3.0, [24.0, 19.6])
+    rows = hysteresis_sweep(runner, [24.0, 19.6])
     assert rows[1].impulsive.startswith("error:")
     assert rows[1].restart == "RR"
 
