@@ -32,24 +32,41 @@ and contracted against the weighted basis gradients.
 Only the active elements evolve (``Discretization.active_mask``; overset
 assembly turns holes and fringes off). The element-local work -- the
 volume term, the face lift, the mass inverse, the wave speed and the
-positivity guard -- runs on those elements only, and the residual is
-exactly zero elsewhere. The face fluxes are computed on the whole block
-through the face table's slices, which is cheaper than gathering the
-faces of the active elements.
+first node pass of the positivity guard -- runs on those elements only,
+and the residual is exactly zero elsewhere.
+
+Every pass over a block's nodes runs over row blocks: ranges of the
+element index ``i`` of ``BLOCK_NODES // (nj * points per element)``
+rows, where the points are the volume nodes of an element-local pass and
+the face points of a flux call. Such a pass keeps about 20 node-sized
+temporaries alive at once. Over a whole 200x100 P1 block that is about
+25 MB, which streams from memory; over ``BLOCK_NODES`` = 16384 nodes it
+is about 2.6 MB, which stays near a core's 2 MB L2 cache (loop tiling:
+Wolf & Lam, PLDI 1991). Row blocks of one row are too small: their
+per-call overhead made the 200x100 P1 march 1.5 times slower. A block
+smaller than one row block runs as a single row block.
+
+The element-local passes run on ``Discretization.row_blocks``: a row
+block whose elements are all active is selected by its slice, a view;
+one with no active element is left out; a partly active one gathers its
+active elements. The face fluxes are computed on the whole block through
+the face table's slices, one call per row range of each face pair, which
+is cheaper than gathering the faces of the active elements.
 
 Which element lies across each face comes from the block's face table
 (``GridBlock.face_pairs``): interior faces, and periodic sides, which
-are whole sides in opposite pairs, each get one flux call per pair. The
-remaining boundary sides (``GridBlock.boundary_sides``) share a single
-flux call: their faces form one batch, side after side in the order of
-``boundary_sides``, each side's faces in element order, and one
-vectorised pass builds every ghost state of the batch from the per-face
+are whole sides in opposite pairs, each get one flux call per row range
+of the pair. The remaining boundary sides (``GridBlock.boundary_sides``)
+share a single flux call: their faces form one batch, side after side in
+the order of ``boundary_sides``, each side's faces in element order, and
+one vectorised pass builds every ghost state of the batch from the per-face
 tags: inflow (free-stream Dirichlet through the flux), outflow
 (zero-gradient copy), slip wall (normal-velocity mirror), and interface
 (copy; the overset layer owns those faces by overwriting fringe
-coefficients). A residual thus makes ``len(face_pairs) + 1`` flux calls
-(``len(face_pairs)`` on a fully periodic block). The flux is pointwise,
-so the batch gives the same face values as one call per side.
+coefficients). A residual thus makes one flux call per row range of
+every face pair, plus one for the batch unless the block is fully
+periodic. The flux is pointwise, so the row ranges and the batch give
+the same face values as one call per pair and per side.
 """
 
 from __future__ import annotations
@@ -62,6 +79,16 @@ from .fluxes import get_flux
 from .mesh import TAG_INFLOW, TAG_OUTFLOW, TAG_WALL
 
 FACES = (FACE_W, FACE_E, FACE_S, FACE_N)
+
+# points per row block: about 20 node-sized float64 temporaries of this
+# many points fill a 2 MB L2 cache (module docstring)
+BLOCK_NODES = 16384
+
+
+def _row_ranges(n, height):
+    """Consecutive ranges of at most ``height`` (at least 1) of n rows."""
+    height = max(1, height)
+    return [slice(a, min(a + height, n)) for a in range(0, n, height)]
 
 
 class Discretization:
@@ -87,7 +114,30 @@ class Discretization:
         # integral of every mode over every element, (ni, nj, n_modes)
         self._mode_integrals = ((basis.vol_weights * self.geo.detJ)
                                 @ basis.vol_V)
+        self._pair_table()
         self._boundary_table()
+
+    def _pair_table(self):
+        """Each face pair cut into row ranges (module docstring).
+
+        ``_pair_rows`` holds one ``(face_a, sel_a, face_b, sel_b, nx, ny,
+        sj)`` per row range: the pair restricted to those rows of its
+        elements, with face a's normals (..., 1) and ``face_sj``
+        (1, ..., 1) there, all views.
+        """
+        geo, block = self.geo, self.block
+        height = BLOCK_NODES // (block.nj * self.basis.nq_1d)
+        self._pair_rows = []
+        for fa, sa, fb, sb in block.face_pairs:
+            a0, a1, _ = sa[0].indices(block.ni)
+            b0 = sb[0].indices(block.ni)[0]
+            for r in _row_ranges(a1 - a0, height):
+                ra = (slice(a0 + r.start, a0 + r.stop), sa[1])
+                rb = (slice(b0 + r.start, b0 + r.stop), sb[1])
+                n = geo.face_normal[fa][ra]
+                self._pair_rows.append(
+                    (fa, ra, fb, rb, n[..., 0, None], n[..., 1, None],
+                     geo.face_sj[fa][ra][None, ..., None]))
 
     def _boundary_table(self):
         """The batch of all boundary-side faces (module docstring).
@@ -141,15 +191,23 @@ class Discretization:
                              f"shape {mask.shape}, expected {shape}")
         mask.flags.writeable = False
         self._active_mask = mask
-        # the selection the element-local kernels run on, for indexing
-        # after the variable axis: plain slices (views, no copies) when
-        # every element is active, the boolean mask otherwise
-        self._all_active = bool(mask.all())
-        self.active_sel = ((slice(None), slice(None)) if self._all_active
-                           else (mask,))
+        # the row blocks of active elements (module docstring), each an
+        # index of the element axes: a slice of rows, or the (i, j)
+        # indices of the active elements of a partly active block
+        height = BLOCK_NODES // (shape[1] * self.basis.vol_V.shape[0])
+        blocks = []
+        for rows in _row_ranges(shape[0], height):
+            on = mask[rows]
+            if on.all():
+                blocks.append((rows, slice(None)))
+            elif on.any():
+                i, j = np.nonzero(on)
+                blocks.append((i + rows.start, j))
+        self.row_blocks = tuple(blocks)
         geo = self.geo
-        self._active_metrics = tuple(m[self.active_sel] for m in
-                                     (geo.x_r, geo.x_s, geo.y_r, geo.y_s))
+        self._row_metrics = tuple(
+            tuple(m[sel] for m in (geo.x_r, geo.x_s, geo.y_r, geo.y_s))
+            for sel in blocks)
 
     # ---- projection / evaluation -------------------------------------
     def project(self, fn):
@@ -164,8 +222,9 @@ class Discretization:
         """Apply each element's inverse mass matrix to the last axis of r.
 
         ``r`` has shape (..., ni, nj, n_modes), or the shape of the
-        elements that ``mask`` selects: a boolean (ni, nj) mask gives
-        (..., n, n_modes), ``active_sel`` that of the active elements.
+        elements that ``mask``, an index of the (ni, nj) element grid,
+        selects: a boolean (ni, nj) mask gives (..., n, n_modes), a row
+        block (``row_blocks``) the shape of its elements.
         """
         scale = self.geo.minv_scale
         if mask is not None:
@@ -212,13 +271,12 @@ class Discretization:
 
     def max_wave_speed(self, coeffs):
         """Per-element max |u| + a over the volume nodes, shape (ni, nj);
-        computed at the active elements only, zero at the others."""
-        vals = self.evaluate(coeffs[(slice(None), *self.active_sel)])
-        lam = gasmod.max_wave_speed(vals, self.gas).max(axis=-1)
-        if self._all_active:
-            return lam
+        computed at the active elements only, a row block at a time,
+        zero at the others."""
         out = np.zeros(self._active_mask.shape)
-        out[self._active_mask] = lam
+        for sel in self.row_blocks:
+            vals = self.evaluate(coeffs[(slice(None), *sel)])
+            out[sel] = gasmod.max_wave_speed(vals, self.gas).max(axis=-1)
         return out
 
     # ---- boundary ghosts ---------------------------------------------
@@ -252,43 +310,20 @@ class Discretization:
         return ghost
 
     # ---- residual ----------------------------------------------------
-    def residual(self, coeffs):
-        """Semi-discrete rate of change of the modal coefficients, exactly
-        zero at inactive elements."""
-        geo, gas = self.geo, self.gas
+    def _surface_fluxes(self, coeffs):
+        """flux*sJ at every element face, (4, ni, nj, 4 * nq_1d): face
+        k's quadrature points are slot k, faces in ``FACES`` order. One
+        flux per face pair, added to one side and subtracted from the
+        other, one flux call per row range of a pair (``_pair_rows``)."""
+        gas = self.gas
         v = slice(None)  # the variable axis, ahead of an element selection
-        act = (v, *self.active_sel)
-
-        # volume term at the active elements, from the contravariant
-        # velocities U, W (module docstring)
-        q = self.evaluate(coeffs[act])
-        _, ux, uy, p = gasmod.primitives(q, gas)
-        x_r, x_s, y_r, y_s = self._active_metrics
-        U = ux * y_s - uy * x_s
-        W = uy * x_r - ux * y_r
-        A = q * U
-        A[1] += p * y_s
-        A[2] -= p * x_s
-        A[3] += p * U
-        B = q * W
-        B[1] -= p * y_r
-        B[2] += p * x_r
-        B[3] += p * W
-        rhs = A @ self._vol_WDr
-        rhs += B @ self._vol_WDs
-
-        # surface term: every element face's flux*sJ goes into one slot
-        # of S, lifted below by one matmul; one flux per face pair, added
-        # to one side and subtracted from the other
         tr = self.face_traces(coeffs)
         nf = self.basis.nq_1d
         S = np.empty(coeffs.shape[:-1] + (len(FACES) * nf,))
         slot = {f: S[..., k * nf:(k + 1) * nf] for k, f in enumerate(FACES)}
-        for fa, sa, fb, sb in self.block.face_pairs:
-            n = geo.face_normal[fa][sa]
-            fhat = self.flux(tr[fa][(v, *sa)], tr[fb][(v, *sb)],
-                             n[..., 0, None], n[..., 1, None], gas)
-            fhat *= geo.face_sj[fa][sa][None, ..., None]
+        for fa, sa, fb, sb, nx, ny, sj in self._pair_rows:
+            fhat = self.flux(tr[fa][(v, *sa)], tr[fb][(v, *sb)], nx, ny, gas)
+            fhat *= sj
             slot[fa][(v, *sa)] = fhat
             np.negative(fhat, out=slot[fb][(v, *sb)])
         # every boundary side in one batch: gather, ghost, one flux call,
@@ -302,12 +337,33 @@ class Discretization:
             fhat *= self._bnd_sj
             for face, sel, rows, shape in self._bnd_sides:
                 slot[face][(v, *sel)] = fhat[:, rows].reshape(4, *shape, nf)
-        rhs += S[act] @ self._lift
+        return S
 
-        rhs = self.inverse_mass(rhs, self.active_sel)
-        if self._all_active:
-            return rhs
+    def residual(self, coeffs):
+        """Semi-discrete rate of change of the modal coefficients, exactly
+        zero at inactive elements."""
+        S = self._surface_fluxes(coeffs)
         out = np.zeros(coeffs.shape)
-        out[act] = rhs
+        for sel, (x_r, x_s, y_r, y_s) in zip(self.row_blocks,
+                                             self._row_metrics):
+            at = (slice(None), *sel)
+            # volume term from the contravariant velocities U, W (module
+            # docstring)
+            q = self.evaluate(coeffs[at])
+            _, ux, uy, p = gasmod.primitives(q, self.gas)
+            U = ux * y_s - uy * x_s
+            W = uy * x_r - ux * y_r
+            A = q * U
+            A[1] += p * y_s
+            A[2] -= p * x_s
+            A[3] += p * U
+            B = q * W
+            B[1] -= p * y_r
+            B[2] += p * x_r
+            B[3] += p * W
+            rhs = A @ self._vol_WDr
+            rhs += B @ self._vol_WDs
+            # surface term, lifted by one matmul
+            rhs += S[at] @ self._lift
+            out[at] = self.inverse_mass(rhs, sel)
         return out
-

@@ -93,11 +93,23 @@ def _minmod3(a, b, c):
 
 
 def moment_limit(disc, coeffs, flagged, tvb_m=0.0):
-    """Limit flagged elements in place; means are untouched."""
+    """Limit flagged elements in place; means are untouched.
+
+    The minmod is taken, and the modes written, at the flagged elements
+    only: through slices when every element is flagged, through their
+    indices otherwise.
+    """
     if not np.any(flagged):
         return
     basis = disc.basis
     means = disc.cell_means(coeffs)
+    if flagged.all():
+        sel = (slice(None), slice(None))
+        high = (slice(None), slice(None), basis.modes_high)
+    else:
+        sel = np.nonzero(flagged)
+        high = (sel[0][:, None], sel[1][:, None], basis.modes_high)
+    v = slice(None)
 
     # scaled neighbor mean differences per face; a boundary face keeps
     # the mode itself, which drops that constraint (one-sided limiting)
@@ -105,25 +117,20 @@ def moment_limit(disc, coeffs, flagged, tvb_m=0.0):
     c01 = coeffs[:, :, :, basis.mode_lin_s]
     diff = {f: c.copy() for f, c in ((FACE_W, c10), (FACE_E, c10),
                                      (FACE_S, c01), (FACE_N, c01))}
-    v = slice(None)
     for fa, sa, fb, sb in disc.block.face_pairs:
         # face_a is the E or N face, so this is the forward difference
         diff[fa][(v, *sa)] = diff[fb][(v, *sb)] = (
             means[(v, *sb)] - means[(v, *sa)]) / SQRT3
 
-    lim10 = _minmod3(c10, diff[FACE_E], diff[FACE_W])
-    lim01 = _minmod3(c01, diff[FACE_N], diff[FACE_S])
-    if tvb_m > 0.0:
-        keep = disc.geo.h_max_edge[None] ** 2 * tvb_m
-        lim10 = np.where(np.abs(c10) <= keep, c10, lim10)
-        lim01 = np.where(np.abs(c01) <= keep, c01, lim01)
-
-    sel = flagged
-    c10[:, sel] = lim10[:, sel]
-    c01[:, sel] = lim01[:, sel]
-    hi = coeffs[:, :, :, basis.modes_high]
-    hi[:, sel] = 0.0
-    coeffs[:, :, :, basis.modes_high] = hi
+    keep = (disc.geo.h_max_edge[sel] ** 2 * tvb_m if tvb_m > 0.0
+            else None)
+    for c, up, down in ((c10, FACE_E, FACE_W), (c01, FACE_N, FACE_S)):
+        own = c[(v, *sel)]
+        lim = _minmod3(own, diff[up][(v, *sel)], diff[down][(v, *sel)])
+        if keep is not None:
+            lim = np.where(np.abs(own) <= keep, own, lim)
+        c[(v, *sel)] = lim
+    coeffs[(v, *high)] = 0.0
 
 
 def _dips_below_floors(vals, gas, rho_floor, p_floor):
@@ -149,21 +156,15 @@ def positivity_guard(disc, coeffs, rho_floor=1e-8, p_floor=1e-10):
     Returns the number of cell repairs made.
     """
     gas = disc.gas
-    v = slice(None)
-    sel = disc.active_sel
+    active = disc.active_mask
     repaired = 0
 
-    def on_block(bad):
-        """(ni, nj) mask of the cells flagged at the selection ``sel``."""
-        cells = np.zeros(disc.active_mask.shape, bool)
-        cells[sel] = bad
-        return cells
-
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        means = disc.cell_means(coeffs)[(v, *sel)]
+        means = disc.cell_means(coeffs)
         pm = pressure(means, gas)
-        bad = (~np.isfinite(means).all(axis=0) | (means[0] <= rho_floor) |
-               ~np.isfinite(pm) | (pm <= p_floor))
+        bad = active & (~np.isfinite(means).all(axis=0)
+                        | (means[0] <= rho_floor) | ~np.isfinite(pm)
+                        | (pm <= p_floor))
         if bad.any():
             m = means[:, bad]
             rho = np.maximum(np.nan_to_num(m[0], nan=rho_floor), rho_floor)
@@ -171,25 +172,27 @@ def positivity_guard(disc, coeffs, rho_floor=1e-8, p_floor=1e-10):
             vel = np.nan_to_num(m[2] / rho, nan=0.0, posinf=0.0, neginf=0.0)
             p = np.maximum(np.nan_to_num(pm[bad], nan=p_floor), p_floor)
             state = conserved(rho, u, vel, p, gas)
-            cells = on_block(bad)
-            coeffs[:, cells, :] = 0.0
-            coeffs[:, cells, 0] = 2.0 * state        # mode-0 value is 1/2
+            coeffs[:, bad, :] = 0.0
+            coeffs[:, bad, 0] = 2.0 * state          # mode-0 value is 1/2
             repaired += int(bad.sum())
 
-        # only the cells shrunk by one pass are evaluated again by the
-        # next; node-major values make the per-cell min and max run over
-        # the outer axis, with long contiguous rows
+        # the first pass evaluates the active cells a row block at a
+        # time, each later one only the cells shrunk by the pass before;
+        # node-major values make the per-cell min and max run over the
+        # outer axis, with long contiguous rows
         V = disc.basis.node_V
+        sels = disc.row_blocks
         for _ in range(60):
-            vals = np.tensordot(V, coeffs[(v, *sel)], (1, -1))
-            bad = _dips_below_floors(vals.swapaxes(0, 1), gas, rho_floor,
-                                     p_floor)
+            bad = np.zeros(active.shape, bool)
+            for sel in sels:
+                vals = np.tensordot(V, coeffs[(slice(None), *sel)], (1, -1))
+                bad[sel] = _dips_below_floors(vals.swapaxes(0, 1), gas,
+                                              rho_floor, p_floor)
             if not bad.any():
                 break
-            cells = on_block(bad)
-            coeffs[:, cells, 1:] *= 0.5
+            coeffs[:, bad, 1:] *= 0.5
             repaired += int(bad.sum())
-            sel = (cells,)
+            sels = ((bad,),)
     return repaired
 
 

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from machstem import dg
 from machstem.basis import Basis, FACE_W, FACE_E, FACE_S, FACE_N
 from machstem.dg import Discretization
+from machstem.fluxes import get_flux
 from machstem.gas import (GasModel, conserved, flux as euler_flux,
                           free_stream, pressure)
 from machstem.mesh import (GridBlock, TAG_INFLOW, TAG_INTERFACE, TAG_OUTFLOW,
                            TAG_PERIODIC, TAG_WALL)
 from machstem.mms import vortex_ic, vortex_state
+from machstem.stabilization import positivity_guard
 from machstem.timestepping import System
+from machstem.wedge import FlowCase, build_wedge_grid
 
 GAS = GasModel()
 
@@ -239,8 +243,9 @@ def test_residual_matches_loop_per_element_reference(order, flux_name,
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_residual_makes_one_flux_call_for_all_boundary_sides(layout):
-    """One flux call per face pair, plus one for the whole boundary
-    batch when the block has boundary sides."""
+    """One flux call per face pair (a single row range each on a block
+    this small), plus one for the whole boundary batch when the block
+    has boundary sides."""
     from machstem.fluxes import lax_friedrichs
     blk = wavy_block(5, 4, tags=LAYOUTS[layout])
     calls = []
@@ -390,3 +395,120 @@ def test_wall_mirror_keeps_wall_flux_mass_free():
     f = lax_friedrichs(q, ghost, nx, ny, GAS)
     assert abs(f[0]) < 1e-14
     assert abs(f[3]) < 1e-14
+
+
+# ---- row blocks -------------------------------------------------------
+
+WEDGE_CASE = FlowCase(mach=3.0, wedge_angle_deg=24.0)
+ROW_NI, ROW_NJ = 10, 4
+
+
+def row_block_mask():
+    """Rows 0-2 off (a skipped row block at 1- and 3-row heights) and a
+    hole that leaves rows 5-6 partly active."""
+    mask = np.ones((ROW_NI, ROW_NJ), bool)
+    mask[:3] = False
+    mask[5:7, 1:3] = False
+    return mask
+
+
+def row_block_grid(layout):
+    if layout == "wedge":
+        return build_wedge_grid(WEDGE_CASE, ROW_NI, ROW_NJ)
+    return wavy_block(ROW_NI, ROW_NJ, tags=LAYOUTS["periodic"])
+
+
+def split_sizes(order):
+    """BLOCK_NODES values giving 1-row ranges everywhere, 3-row volume
+    blocks, 3-row face ranges, and one volume block of all ni rows."""
+    nq, nf = (order + 2) ** 2, order + 2
+    return 1, 3 * ROW_NJ * nq, 3 * ROW_NJ * nf, ROW_NI * ROW_NJ * nq
+
+
+def row_split_disc(monkeypatch, block_nodes, layout, order, flux_name,
+                   masked, calls=None):
+    monkeypatch.setattr(dg, "BLOCK_NODES", block_nodes)
+    base = flux = get_flux(flux_name)
+    if calls is not None:
+        def flux(qL, qR, nx, ny, gas):
+            calls.append(qL.shape)
+            return base(qL, qR, nx, ny, gas)
+    disc = Discretization(row_block_grid(layout), Basis(order), GAS,
+                          flux=flux, bc_state=WEDGE_CASE.free_stream())
+    if masked:
+        disc.active_mask = row_block_mask()
+    return disc
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize("flux_name", ["lax_friedrichs", "slau2"])
+@pytest.mark.parametrize("layout", ["wedge", "periodic"])
+@pytest.mark.parametrize("masked", [False, True])
+def test_row_blocks_match_one_block(monkeypatch, order, flux_name, layout,
+                                    masked):
+    """Uneven row splits give bit-identical face fluxes, and a residual
+    and wave speed within round-off of one block."""
+    one = row_split_disc(monkeypatch, 10 ** 9, layout, order, flux_name,
+                         masked)
+    coeffs = random_admissible_state(one, seed=7 * order + masked)
+    S_ref = one._surface_fluxes(coeffs)
+    rhs_ref = one.residual(coeffs)
+    lam_ref = one.max_wave_speed(coeffs)
+    for block_nodes in split_sizes(order):
+        calls = []
+        disc = row_split_disc(monkeypatch, block_nodes, layout, order,
+                              flux_name, masked, calls)
+        # the row blocks cover exactly the active elements; a fully
+        # active one is a slice of rows
+        cover = np.zeros((ROW_NI, ROW_NJ), int)
+        for sel in disc.row_blocks:
+            cover[sel] += 1
+            rows = np.arange(ROW_NI)[sel[0]]
+            assert isinstance(sel[0], slice) == disc.active_mask[rows].all()
+        assert np.array_equal(cover, disc.active_mask)
+        assert np.array_equal(disc._surface_fluxes(coeffs), S_ref)
+        height = max(1, block_nodes // (ROW_NJ * (order + 2)))
+        ranges = sum(-(-len(range(*sa[0].indices(ROW_NI))) // height)
+                     for _, sa, _, _ in disc.block.face_pairs)
+        assert len(calls) == ranges + bool(disc.block.boundary_sides)
+        rhs = disc.residual(coeffs)
+        assert np.all(rhs[:, ~disc.active_mask] == 0.0)
+        assert (np.max(np.abs(rhs - rhs_ref))
+                <= 1e-14 * np.max(np.abs(rhs_ref)))
+        lam = disc.max_wave_speed(coeffs)
+        assert np.all(lam[~disc.active_mask] == 0.0)
+        assert np.max(np.abs(lam - lam_ref)) <= 1e-14 * np.max(lam_ref)
+
+
+def dipping_state(disc):
+    """An admissible state with a bad mean, dips that a few halvings
+    repair, one that 60 halvings do not, and NaN in an inactive cell."""
+    coeffs = random_admissible_state(disc, seed=3)
+    lin = disc.basis.mode_lin_r
+    coeffs[0, 3, 1, 0] = -1.0                     # negative mean density
+    coeffs[0, 4, 2, lin] = 3.0 * coeffs[0, 4, 2, 0]
+    coeffs[3, 7, 0, lin] = -2.5 * coeffs[3, 7, 0, 0]
+    coeffs[0, 8, 3, lin] = 1e20                   # past the 60-pass cap
+    coeffs[:, 5, 1] = np.nan                      # inactive when masked
+    return coeffs
+
+
+@pytest.mark.parametrize("order", [1, 4])
+@pytest.mark.parametrize("masked", [False, True])
+def test_guard_on_row_blocks_matches_one_block(monkeypatch, order, masked):
+    one = row_split_disc(monkeypatch, 10 ** 9, "wedge", order,
+                         "lax_friedrichs", masked)
+    start = dipping_state(one)
+    ref = start.copy()
+    with np.errstate(invalid="ignore"):
+        n_ref = positivity_guard(one, ref)
+    # 60 halvings at the capped cell, at least one at each other dip
+    assert n_ref >= 60 + 3
+    assert ref[0, 8, 3, one.basis.mode_lin_r] == 1e20 * 0.5 ** 60
+    for block_nodes in split_sizes(order):
+        disc = row_split_disc(monkeypatch, block_nodes, "wedge", order,
+                              "lax_friedrichs", masked)
+        coeffs = start.copy()
+        with np.errstate(invalid="ignore"):
+            assert positivity_guard(disc, coeffs) == n_ref
+        assert np.array_equal(coeffs, ref, equal_nan=True)

@@ -8,6 +8,7 @@ from machstem.mesh import GridBlock, TAG_PERIODIC
 from machstem.mms import vortex_ic
 from machstem.stabilization import (kxrcf_indicator, moment_limit,
                                     positivity_guard, _dips_below_floors,
+                                    _minmod3,
                                     Stabilizer, make_limiter_hook)
 
 GAS = GasModel()
@@ -175,6 +176,68 @@ def test_tvb_keeps_small_slopes():
     flagged[2, 2] = True
     moment_limit(disc, coeffs, flagged, tvb_m=0.05)
     assert coeffs[0, 2, 2, disc.basis.mode_lin_r] == 0.01
+
+
+def reference_moment_limit(disc, coeffs, flagged, tvb_m=0.0):
+    """The limiter as it was before it worked on the flagged elements
+    only: minmod over the whole block, high modes gathered, zeroed at
+    the flagged elements and written back."""
+    from machstem.basis import FACE_W, FACE_E, FACE_S, FACE_N
+    if not np.any(flagged):
+        return
+    basis = disc.basis
+    means = disc.cell_means(coeffs)
+    c10 = coeffs[:, :, :, basis.mode_lin_r]
+    c01 = coeffs[:, :, :, basis.mode_lin_s]
+    diff = {f: c.copy() for f, c in ((FACE_W, c10), (FACE_E, c10),
+                                     (FACE_S, c01), (FACE_N, c01))}
+    v = slice(None)
+    for fa, sa, fb, sb in disc.block.face_pairs:
+        diff[fa][(v, *sa)] = diff[fb][(v, *sb)] = (
+            means[(v, *sb)] - means[(v, *sa)]) / np.sqrt(3.0)
+    lim10 = _minmod3(c10, diff[FACE_E], diff[FACE_W])
+    lim01 = _minmod3(c01, diff[FACE_N], diff[FACE_S])
+    if tvb_m > 0.0:
+        keep = disc.geo.h_max_edge[None] ** 2 * tvb_m
+        lim10 = np.where(np.abs(c10) <= keep, c10, lim10)
+        lim01 = np.where(np.abs(c01) <= keep, c01, lim01)
+    c10[:, flagged] = lim10[:, flagged]
+    c01[:, flagged] = lim01[:, flagged]
+    hi = coeffs[:, :, :, basis.modes_high]
+    hi[:, flagged] = 0.0
+    coeffs[:, :, :, basis.modes_high] = hi
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("flags", ["all", "partial"])
+@pytest.mark.parametrize("tvb_m", [0.0, 0.5])
+def test_limiter_matches_whole_block_reference(order, periodic, flags,
+                                               tvb_m):
+    """Limiting at the flagged elements only writes the coefficients the
+    whole-block limiter writes, bit for bit."""
+    rng = np.random.default_rng(order + 2 * periodic)
+    disc = box_disc(7, order, size=2.0, periodic=periodic)
+    shape = (7, 7)
+    mean = conserved(rng.uniform(0.8, 1.2, shape),
+                     rng.uniform(-1.5, 1.5, shape),
+                     rng.uniform(-1.5, 1.5, shape),
+                     rng.uniform(0.5, 1.0, shape), GAS)
+    coeffs = 0.05 * rng.standard_normal(
+        (4,) + shape + (disc.basis.n_modes,)) * np.abs(mean)[..., None]
+    coeffs[..., disc.basis.mode_const] = 2.0 * mean
+    flagged = (np.ones(shape, bool) if flags == "all"
+               else rng.uniform(size=shape) < 0.3)
+    start = coeffs.copy()
+    ref = coeffs.copy()
+    reference_moment_limit(disc, ref, flagged, tvb_m)
+    moment_limit(disc, coeffs, flagged, tvb_m)
+    assert np.array_equal(coeffs, ref)
+    # the limiter acts, and the TVB bound keeps some slopes it would cut
+    assert not np.array_equal(coeffs, start)
+    if tvb_m > 0.0:
+        moment_limit(disc, start, flagged)
+        assert not np.array_equal(coeffs, start)
 
 
 def test_stabilizer_always_mode_flags_active_only():
