@@ -109,7 +109,6 @@ def moment_limit(disc, coeffs, flagged, tvb_m=0.0):
     else:
         sel = np.nonzero(flagged)
         high = (sel[0][:, None], sel[1][:, None], basis.modes_high)
-    v = slice(None)
 
     # scaled neighbor mean differences per face; a boundary face keeps
     # the mode itself, which drops that constraint (one-sided limiting)
@@ -117,6 +116,7 @@ def moment_limit(disc, coeffs, flagged, tvb_m=0.0):
     c01 = coeffs[:, :, :, basis.mode_lin_s]
     diff = {f: c.copy() for f, c in ((FACE_W, c10), (FACE_E, c10),
                                      (FACE_S, c01), (FACE_N, c01))}
+    v = slice(None)
     for fa, sa, fb, sb in disc.block.face_pairs:
         # face_a is the E or N face, so this is the forward difference
         diff[fa][(v, *sa)] = diff[fb][(v, *sb)] = (
