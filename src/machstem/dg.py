@@ -42,9 +42,11 @@ the face points of a flux call. Such a pass keeps about 20 node-sized
 temporaries alive at once. Over a whole 200x100 P1 block that is about
 25 MB, which streams from memory; over ``BLOCK_NODES`` = 16384 nodes it
 is about 2.6 MB, which stays near a core's 2 MB L2 cache (loop tiling:
-Wolf & Lam, PLDI 1991). Row blocks of one row are too small: their
-per-call overhead made the 200x100 P1 march 1.5 times slower. A block
-smaller than one row block runs as a single row block.
+Wolf & Lam, PLDI 1991). The value was measured, not derived: row blocks
+of one row made the 200x100 P1 march 1.5 times slower through per-call
+overhead, and 36864-node row blocks made the two-block P4 vortex march
+slower through page faults. A block smaller than one row block runs as
+a single row block.
 
 The element-local passes run on ``Discretization.row_blocks``: a row
 block whose elements are all active is selected by its slice, a view;
