@@ -92,6 +92,10 @@ class Basis:
         # modes at every volume and face quadrature node
         self.node_V = np.vstack([self.vol_V] +
                                 [self.face_V[f] for f in coords])
+        # per mode, its largest magnitude over those nodes: mode 0's
+        # constant value, then the a_p that bound the node values by the
+        # coefficients alone (the positivity guard's proof)
+        self.node_V_max = np.abs(self.node_V).max(axis=0)
 
     def eval_modes(self, r, s, gradients=False):
         """Basis (and optionally gradient) evaluation matrices at (r, s).

@@ -31,9 +31,10 @@ and contracted against the weighted basis gradients.
 
 Only the active elements evolve (``Discretization.active_mask``; overset
 assembly turns holes and fringes off). The element-local work -- the
-volume term, the face lift, the mass inverse, the wave speed and the
-first node pass of the positivity guard -- runs on those elements only,
-and the residual is exactly zero elsewhere.
+volume term, the face lift, the mass inverse and the wave speed -- runs
+on those elements only, and the residual is exactly zero elsewhere. The
+positivity guard (``stabilization``) bounds every element from its
+modes in one whole-block pass, and gathers the few it cannot prove.
 
 Every pass over a block's nodes runs over row blocks: ranges of the
 element index ``i`` of ``BLOCK_NODES // (nj * points per element)``
@@ -248,10 +249,18 @@ class Discretization:
     def face_traces(self, coeffs):
         return {f: coeffs @ self.basis.face_V[f].T for f in FACES}
 
-    def cell_means(self, coeffs):
-        """Per-element means of the conserved variables, shape (4,ni,nj)."""
-        tot = np.einsum("vijp,ijp->vij", coeffs, self._mode_integrals)
-        return tot / self.geo.element_area[None]
+    def cell_means(self, coeffs, mask=None):
+        """Per-element means of the conserved variables, shape (4,ni,nj).
+
+        With ``mask``, an index of the (ni, nj) element grid, ``coeffs``
+        holds the selected elements only, (4, ..., n_modes), and so does
+        the result, (4, ...).
+        """
+        integrals, area = self._mode_integrals, self.geo.element_area
+        if mask is not None:
+            integrals, area = integrals[mask], area[mask]
+        tot = np.einsum("v...p,...p->v...", coeffs, integrals)
+        return tot / area[None]
 
     def conserved_totals(self, coeffs, mask=None):
         """Domain integrals of the four conserved variables."""

@@ -23,6 +23,37 @@ Both see their neighbors through the block's face pairs
 side there is no neighbor: the indicator compares the element's trace
 with itself (zero jump) and the limiter drops that side's constraint
 (one-sided limiting).
+
+The positivity guard (after Zhang & Shu, JCP 229:8918, 2010) keeps each
+active cell's mean and its values at the guard nodes (``Basis.node_V``:
+the volume and face quadrature nodes) above a density and a pressure
+floor. Most cells it proves positive from their modes alone:
+
+- Mode 0 is the constant a_0 = 1/2 at every node, and mode p >= 1 is at
+  most a_p = max_q |V_qp| in magnitude (``Basis.node_V_max``). So every
+  node value of a variable lies in [lo, hi] = c_0 a_0 -+ dev, with
+  dev = sum_{p>=1} a_p |c_p|.
+- Density is then at least lo_rho, and pressure at least
+  (gamma - 1) (lo_E - (max(lo_mx^2, hi_mx^2) + max(lo_my^2, hi_my^2))
+  / (2 lo_rho)), which holds at every state of the box [lo, hi]^4 with
+  lo_rho > 0.
+- A cell is proven when both bounds clear their floors after every
+  interval is widened by ``DELTA`` = 1e-12 of its magnitude bound
+  |c_0 a_0| + dev, and the pressure bound is cut by ``DELTA`` of its
+  terms. The rounding of the node evaluation, of the mean and of the
+  bound itself is at most about 25 ulp of that magnitude (P4's 25
+  modes), far below ``DELTA``, so a proven cell passes the floating-point
+  node test too. Non-finite coefficients fail the floor tests: a NaN
+  compares false, and an infinite or overflowing bound makes lo_rho or
+  the pressure bound -inf or NaN.
+- A proven cell's mean clears the floors as well. ``cell_means`` is the
+  volume quadrature sum_q w_q J_q u_q / sum_q w_q J_q, whose weights
+  w_q J_q are positive, so each mean lies in its variable's interval,
+  and the box's pressure bound applies. (Pressure is concave in the
+  conserved variables, so p(mean) >= min_q p_q as well.)
+
+The guard tests means and nodes, and repairs, only the active cells
+that are not proven.
 """
 
 from __future__ import annotations
@@ -33,6 +64,10 @@ from .basis import FACE_W, FACE_E, FACE_S, FACE_N
 from .gas import conserved, pressure
 
 SQRT3 = np.sqrt(3.0)
+
+# relative margin by which the positivity guard's modal bound must clear
+# the floors, far above rounding (module docstring)
+DELTA = 1e-12
 
 
 def _neighbor_traces(disc, traces):
@@ -144,27 +179,57 @@ def _dips_below_floors(vals, gas, rho_floor, p_floor):
             | (np.maximum(rho.max(axis=0), p.max(axis=0)) == np.inf))
 
 
+def _proven_positive(disc, coeffs, rho_floor, p_floor):
+    """Cells, (ni, nj), whose modes alone prove every guard node and the
+    cell mean above both floors (module docstring).
+
+    Per variable, ``mid`` = c_0 a_0 is the interval's centre and
+    ``reach`` = (|mid| + dev) (1 + DELTA) the largest magnitude on the
+    widened interval [lo, hi] = mid -+ (reach - |mid|).
+    """
+    a = disc.basis.node_V_max
+    mid = coeffs[..., 0] * a[0]
+    reach = (np.abs(coeffs) @ a) * (1.0 + DELTA)
+    lo_rho = mid[0] - (reach[0] - np.abs(mid[0]))
+    lo_e = mid[3] - (reach[3] - np.abs(mid[3]))
+    ke = 0.5 * (reach[1] ** 2 + reach[2] ** 2) / lo_rho
+    p_lo = (disc.gas.gamma - 1.0) * (lo_e - ke - DELTA * (reach[3] + ke))
+    return (lo_rho > rho_floor) & (p_lo > p_floor)
+
+
 def positivity_guard(disc, coeffs, rho_floor=1e-8, p_floor=1e-10):
     """Emergency fallback keeping every active cell's state physical.
 
     A cell whose mean density or pressure is non-finite or below the
     floor is rebuilt as a constant cell with floored values; a cell
-    whose polynomial dips below the floors anywhere on its quadrature
-    nodes has its non-constant modes shrunk toward the (physical) mean
-    until the dip disappears.  A no-op on physical states, so steady
-    solutions are untouched.  Only active cells are read or changed.
-    Returns the number of cell repairs made.
+    whose polynomial dips below the floors anywhere on its guard nodes
+    (``Basis.node_V``: the volume and face quadrature nodes) has its
+    non-constant modes halved, at most 60 times, until the dip
+    disappears.  A no-op on physical states, so steady solutions are
+    untouched.  Only active cells are read or changed.  Returns the
+    number of cell repairs made.
+
+    Cells that their modes prove positive (``_proven_positive``) are
+    left alone without evaluating a node or a mean: their node values
+    and means clear both floors (module docstring). The mean test, the
+    rebuild and the halving passes gather the other active cells, each
+    halving pass after the first only the cells the pass before shrank.
+    Repairs and coefficients are those of testing every active cell.
     """
     gas = disc.gas
-    active = disc.active_mask
+    v = slice(None)
     repaired = 0
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        means = disc.cell_means(coeffs)
+        cells = np.nonzero(disc.active_mask
+                           & ~_proven_positive(disc, coeffs, rho_floor,
+                                               p_floor))
+        if cells[0].size == 0:
+            return 0
+        means = disc.cell_means(coeffs[(v, *cells)], cells)
         pm = pressure(means, gas)
-        bad = active & (~np.isfinite(means).all(axis=0)
-                        | (means[0] <= rho_floor) | ~np.isfinite(pm)
-                        | (pm <= p_floor))
+        bad = (~np.isfinite(means).all(axis=0) | (means[0] <= rho_floor)
+               | ~np.isfinite(pm) | (pm <= p_floor))
         if bad.any():
             m = means[:, bad]
             rho = np.maximum(np.nan_to_num(m[0], nan=rho_floor), rho_floor)
@@ -172,27 +237,23 @@ def positivity_guard(disc, coeffs, rho_floor=1e-8, p_floor=1e-10):
             vel = np.nan_to_num(m[2] / rho, nan=0.0, posinf=0.0, neginf=0.0)
             p = np.maximum(np.nan_to_num(pm[bad], nan=p_floor), p_floor)
             state = conserved(rho, u, vel, p, gas)
-            coeffs[:, bad, :] = 0.0
-            coeffs[:, bad, 0] = 2.0 * state          # mode-0 value is 1/2
+            at = tuple(ix[bad] for ix in cells)
+            coeffs[(v, *at)] = 0.0
+            coeffs[(v, *at, 0)] = 2.0 * state        # mode-0 value is 1/2
             repaired += int(bad.sum())
 
-        # the first pass evaluates the active cells a row block at a
-        # time, each later one only the cells shrunk by the pass before;
         # node-major values make the per-cell min and max run over the
         # outer axis, with long contiguous rows
         V = disc.basis.node_V
-        sels = disc.row_blocks
         for _ in range(60):
-            bad = np.zeros(active.shape, bool)
-            for sel in sels:
-                vals = np.tensordot(V, coeffs[(slice(None), *sel)], (1, -1))
-                bad[sel] = _dips_below_floors(vals.swapaxes(0, 1), gas,
-                                              rho_floor, p_floor)
-            if not bad.any():
+            vals = np.tensordot(V, coeffs[(v, *cells)], (1, -1))
+            dip = _dips_below_floors(vals.swapaxes(0, 1), gas, rho_floor,
+                                     p_floor)
+            if not dip.any():
                 break
-            coeffs[:, bad, 1:] *= 0.5
-            repaired += int(bad.sum())
-            sels = ((bad,),)
+            cells = tuple(ix[dip] for ix in cells)
+            coeffs[(v, *cells, slice(1, None))] *= 0.5
+            repaired += int(dip.sum())
     return repaired
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from machstem import dg
+from machstem import dg, stabilization
 from machstem.basis import Basis, FACE_W, FACE_E, FACE_S, FACE_N
 from machstem.dg import Discretization
 from machstem.fluxes import get_flux
@@ -512,3 +512,51 @@ def test_guard_on_row_blocks_matches_one_block(monkeypatch, order, masked):
         with np.errstate(invalid="ignore"):
             assert positivity_guard(disc, coeffs) == n_ref
         assert np.array_equal(coeffs, ref, equal_nan=True)
+
+
+def smooth_state(disc):
+    """The projection of a smooth admissible field: its modes decay with
+    their degree, as a march's do."""
+    def fn(x, y):
+        wave = np.sin(2.0 * x) * np.cos(3.0 * y)
+        return conserved(1.0 + 0.3 * wave, 1.2 - 0.4 * wave, 0.3 * wave,
+                         0.7 + 0.2 * wave, GAS)
+    return disc.project(fn)
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize("masked", [False, True])
+def test_guard_proves_admissible_cells_without_nodes_or_means(
+        monkeypatch, order, masked):
+    """On admissible states the modal bound proves every cell, so the
+    guard evaluates no node and no mean; on a dipping state it does.
+    At P1 the state is ``random_admissible_state``; at P2 and P4 its
+    2 % noise in every one of 9 or 25 modes lies beyond the bound (at P4
+    it leaves about 20-40 of 40 cells unproven), so those orders take a
+    projected smooth field."""
+    disc = row_split_disc(monkeypatch, 10 ** 9, "wedge", order,
+                          "lax_friedrichs", masked)
+    calls = {"nodes": 0, "means": 0}
+    dips, means = stabilization._dips_below_floors, disc.cell_means
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(stabilization, "_dips_below_floors",
+                        counted("nodes", dips))
+    monkeypatch.setattr(disc, "cell_means", counted("means", means))
+    states = [smooth_state(disc)]
+    if order == 1:
+        states.append(random_admissible_state(disc, seed=masked))
+    for coeffs in states:
+        start = coeffs.copy()
+        assert positivity_guard(disc, coeffs) == 0
+        assert np.array_equal(coeffs, start)
+    assert calls == {"nodes": 0, "means": 0}
+    coeffs = dipping_state(disc)
+    with np.errstate(invalid="ignore"):
+        assert positivity_guard(disc, coeffs) > 0
+    assert calls["nodes"] > 1 and calls["means"] == 1

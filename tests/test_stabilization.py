@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from machstem.basis import Basis
 from machstem.dg import Discretization
@@ -8,8 +9,9 @@ from machstem.mesh import GridBlock, TAG_PERIODIC
 from machstem.mms import vortex_ic
 from machstem.stabilization import (kxrcf_indicator, moment_limit,
                                     positivity_guard, _dips_below_floors,
-                                    _minmod3,
+                                    _minmod3, _proven_positive,
                                     Stabilizer, make_limiter_hook)
+from machstem.wedge import FlowCase, build_wedge_grid
 
 GAS = GasModel()
 
@@ -341,3 +343,189 @@ def test_guard_shrinks_active_dips_and_leaves_inactive_cells_alone():
         vals = np.moveaxis(coeffs @ disc.basis.node_V.T, -1, 1)
         assert not _dips_below_floors(vals, GAS, 1e-8, 1e-10)[mask].any()
     assert np.isnan(coeffs[:, 0, 2]).all()
+
+
+# ---- the guard's modal proof ------------------------------------------
+
+RHO_FLOOR, P_FLOOR = 1e-8, 1e-10
+WEDGE_CASE = FlowCase(mach=3.0, wedge_angle_deg=24.0)
+_WEDGE_DISCS = {}
+
+
+def masked_wedge_disc(order):
+    """A 10x4 wedge block, trapezoids in columns 1-3, with rows 0-1 and
+    part of rows 5-6 inactive."""
+    if order not in _WEDGE_DISCS:
+        disc = Discretization(build_wedge_grid(WEDGE_CASE, 10, 4),
+                              Basis(order), GAS,
+                              bc_state=WEDGE_CASE.free_stream())
+        mask = np.ones((10, 4), bool)
+        mask[:2] = False
+        mask[5:7, 1:3] = False
+        disc.active_mask = mask
+        _WEDGE_DISCS[order] = disc
+    return _WEDGE_DISCS[order]
+
+
+def parent_positivity_guard(disc, coeffs, rho_floor=1e-8, p_floor=1e-10):
+    """The guard before the modal proof: every active cell's mean, then
+    every active cell's guard nodes a row block at a time."""
+    gas = disc.gas
+    active = disc.active_mask
+    repaired = 0
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        means = disc.cell_means(coeffs)
+        pm = pressure(means, gas)
+        bad = active & (~np.isfinite(means).all(axis=0)
+                        | (means[0] <= rho_floor) | ~np.isfinite(pm)
+                        | (pm <= p_floor))
+        if bad.any():
+            m = means[:, bad]
+            rho = np.maximum(np.nan_to_num(m[0], nan=rho_floor), rho_floor)
+            u = np.nan_to_num(m[1] / rho, nan=0.0, posinf=0.0, neginf=0.0)
+            vel = np.nan_to_num(m[2] / rho, nan=0.0, posinf=0.0, neginf=0.0)
+            p = np.maximum(np.nan_to_num(pm[bad], nan=p_floor), p_floor)
+            state = conserved(rho, u, vel, p, gas)
+            coeffs[:, bad, :] = 0.0
+            coeffs[:, bad, 0] = 2.0 * state
+            repaired += int(bad.sum())
+        V = disc.basis.node_V
+        sels = disc.row_blocks
+        for _ in range(60):
+            bad = np.zeros(active.shape, bool)
+            for sel in sels:
+                vals = np.tensordot(V, coeffs[(slice(None), *sel)], (1, -1))
+                bad[sel] = _dips_below_floors(vals.swapaxes(0, 1), gas,
+                                              rho_floor, p_floor)
+            if not bad.any():
+                break
+            coeffs[:, bad, 1:] *= 0.5
+            repaired += int(bad.sum())
+            sels = ((bad,),)
+    return repaired
+
+
+def cell_at_floor(disc, coeffs, cell, var, offset, mode, sign):
+    """Make one cell's state linear in ``mode`` with its node minimum of
+    density (var 0) or pressure (var 3) at the floor plus ``offset``
+    times the variable's mean; the other variables are constant, the
+    momentum zero when density is the one at its floor."""
+    basis = disc.basis
+    c = coeffs[(slice(None), *cell)]
+    c[:, 1:] = 0.0
+    a = basis.node_V_max[mode]
+    mean = c[:, 0] * basis.node_V_max[0]
+    if var == 0:
+        c[1:3, 0] = 0.0
+        c[0, mode] = sign * (mean[0] - RHO_FLOOR - offset * mean[0]) / a
+    else:
+        ke = 0.5 * (mean[1] ** 2 + mean[2] ** 2) / mean[0]
+        e_min = ke + P_FLOOR / (GAS.gamma - 1.0) + offset * mean[3]
+        c[3, mode] = sign * (mean[3] - e_min) / a
+
+
+OFFSETS = (-1e-11, -1e-13, 1e-13, 1e-11)
+
+
+@st.composite
+def guard_states(draw, order):
+    """An admissible state on the masked wedge block with a few cells
+    made to sit near a floor, to have a bad mean, a non-finite or huge
+    coefficient, or a slope that 60 halvings do not mend."""
+    disc = masked_wedge_disc(order)
+    basis = disc.basis
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (10, 4)
+    mean = conserved(rng.uniform(0.8, 1.2, shape),
+                     rng.uniform(-1.5, 1.5, shape),
+                     rng.uniform(-1.5, 1.5, shape),
+                     rng.uniform(0.5, 1.0, shape), GAS)
+    coeffs = 0.02 * rng.standard_normal(
+        (4,) + shape + (basis.n_modes,)) * np.abs(mean)[..., None]
+    coeffs[..., 0] = 2.0 * mean
+    cells = st.tuples(st.integers(0, 9), st.integers(0, 3))
+    modes = st.integers(0, basis.n_modes - 1)
+    slopes = st.sampled_from([basis.mode_lin_r, basis.mode_lin_s])
+    for _ in range(draw(st.integers(0, 4))):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            edit_cell(draw, disc, coeffs, cells, modes, slopes)
+    return disc, coeffs
+
+
+def edit_cell(draw, disc, coeffs, cells, modes, slopes):
+    """One of the edits of ``guard_states``, at a drawn cell."""
+    cell = draw(cells)
+    at = (slice(None), *cell)
+    kind = draw(st.sampled_from(["floor", "mean", "nonfinite", "steep",
+                                 "huge"]))
+    if kind == "floor":
+        cell_at_floor(disc, coeffs, cell, draw(st.sampled_from([0, 3])),
+                      draw(st.sampled_from(OFFSETS)), draw(slopes),
+                      draw(st.sampled_from([-1.0, 1.0])))
+    elif kind == "mean":
+        var = draw(st.sampled_from([0, 3]))
+        coeffs[(var, *cell, 0)] *= -draw(st.sampled_from([0.0, 1.0]))
+    elif kind == "nonfinite":
+        coeffs[(draw(st.integers(0, 3)), *cell, draw(modes))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif kind == "steep":
+        coeffs[(draw(st.integers(0, 3)), *cell, draw(slopes))] = (
+            draw(st.sampled_from([-1e20, 1e20])))
+    elif draw(st.booleans()):
+        coeffs[at] *= 1e200
+    else:
+        coeffs[(draw(st.integers(0, 3)), *cell, draw(modes))] = (
+            draw(st.sampled_from([-1e200, 1e200])))
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_guard_matches_testing_every_cell(order, data):
+    """Skipping the proven cells repairs what testing every active cell's
+    mean and nodes repairs, to the same coefficients."""
+    disc, coeffs = data.draw(guard_states(order))
+    ref = coeffs.copy()
+    n_ref = parent_positivity_guard(disc, ref)
+    assert positivity_guard(disc, coeffs) == n_ref
+    assert np.array_equal(coeffs, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_proven_cells_clear_the_floors_at_nodes_and_means(order, data):
+    """The two lemmas: a proven cell's guard-node values and its cell
+    mean are finite and above both floors."""
+    disc, coeffs = data.draw(guard_states(order))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        proven = _proven_positive(disc, coeffs, RHO_FLOOR, P_FLOOR)
+        vals = np.tensordot(disc.basis.node_V, coeffs[:, proven], (1, -1))
+        assert not _dips_below_floors(vals.swapaxes(0, 1), GAS, RHO_FLOOR,
+                                      P_FLOOR).any()
+        means = disc.cell_means(coeffs)[:, proven]
+        pm = pressure(means, GAS)
+    assert np.isfinite(means).all() and np.isfinite(pm).all()
+    assert np.all(means[0] > RHO_FLOOR) and np.all(pm > P_FLOOR)
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize("var", [0, 3])
+def test_proof_margin_lies_between_rounding_and_a_real_gap(order, var):
+    """A node minimum 1e-11 of the mean above a floor is proven; one
+    1e-13 above is left to the node test, which passes it; one 1e-13
+    below is halved once."""
+    disc = masked_wedge_disc(order)
+    mean = conserved(1.0, 0.7, -0.4, 0.8, GAS)
+    coeffs = disc.project_constant(mean)
+    cells = {1e-11: (3, 0), 1e-13: (3, 1), -1e-13: (3, 2)}
+    for offset, cell in cells.items():
+        cell_at_floor(disc, coeffs, cell, var, offset,
+                      disc.basis.mode_lin_s, -1.0)
+    proven = _proven_positive(disc, coeffs, RHO_FLOOR, P_FLOOR)
+    assert [proven[c] for c in cells.values()] == [True, False, False]
+    assert proven.sum() == proven.size - 2
+    ref = coeffs.copy()
+    assert positivity_guard(disc, coeffs) == 1
+    ref[(slice(None), *cells[-1e-13], slice(1, None))] *= 0.5
+    assert np.array_equal(coeffs, ref)
