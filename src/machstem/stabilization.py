@@ -1,4 +1,5 @@
-"""Shock capturing: discontinuity-sensing indicator plus moment limiter.
+"""Shock capturing: discontinuity-sensing indicator, moment limiter and
+positivity guard.
 
 The indicator measures, per element, the jump of the solution across the
 inflow portion of the element boundary, scaled so that smooth solutions
@@ -14,9 +15,13 @@ limited; everything else keeps its full high-order polynomial.
 The limiter drops every mode of total degree two or higher in a flagged
 element and applies a minmod comparison of the two linear modes against
 scaled neighbor mean differences, chosen so that data that are exactly
-linear across a uniform grid pass through unchanged. Element means are
-never modified, so the limiter is conservative, and a second application
-is a no-op.
+linear across a uniform grid pass through unchanged. Mode 0 is never
+modified. On a parallelogram every other mode integrates to zero, so
+there the element mean is kept, the limiter is conservative, and a
+second application is a no-op. On other elements, such as the wedge
+section's and the shock-aligned patch's trapezoids, the linear and cross
+modes integrate to nonzero, so limiting moves the element mean and the
+domain totals.
 
 Both see their neighbors through the block's face pairs
 (``GridBlock.face_pairs``), periodic sides included. Across a boundary
@@ -128,7 +133,8 @@ def _minmod3(a, b, c):
 
 
 def moment_limit(disc, coeffs, flagged, tvb_m=0.0):
-    """Limit flagged elements in place; means are untouched.
+    """Limit flagged elements in place; mode 0 is untouched, which keeps
+    the means of parallelograms only (module docstring).
 
     The minmod is taken, and the modes written, at the flagged elements
     only: through slices when every element is flagged, through their
