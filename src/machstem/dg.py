@@ -70,6 +70,14 @@ coefficients). A residual thus makes one flux call per row range of
 every face pair, plus one for the batch unless the block is fully
 periodic. The flux is pointwise, so the row ranges and the batch give
 the same face values as one call per pair and per side.
+
+Each ``Discretization`` owns one face-trace scratch (four (4, ni, nj,
+nq_1d) arrays) and one surface-flux array (4, ni, nj, 4 * nq_1d),
+allocated on first use and kept for the block's life, so a march does
+not allocate, free and fault in these block-sized arrays at every
+residual. ``face_traces`` and ``_surface_fluxes`` return that scratch,
+and the next call on the same block overwrites it; copy what must
+outlive it. ``residual`` writes into the caller's array when given one.
 """
 
 from __future__ import annotations
@@ -119,6 +127,10 @@ class Discretization:
                                 @ basis.vol_V)
         self._pair_table()
         self._boundary_table()
+        # the face-trace and surface-flux scratch (module docstring),
+        # allocated by the first call that needs it
+        self._traces = None
+        self._S = None
 
     def _pair_table(self):
         """Each face pair cut into row ranges (module docstring).
@@ -207,6 +219,7 @@ class Discretization:
                 i, j = np.nonzero(on)
                 blocks.append((i + rows.start, j))
         self.row_blocks = tuple(blocks)
+        self._inactive = np.nonzero(~mask)
         geo = self.geo
         self._row_metrics = tuple(
             tuple(m[sel] for m in (geo.x_r, geo.x_s, geo.y_r, geo.y_s))
@@ -247,7 +260,15 @@ class Discretization:
         return coeffs @ self.basis.vol_V.T
 
     def face_traces(self, coeffs):
-        return {f: coeffs @ self.basis.face_V[f].T for f in FACES}
+        """Values at the face quadrature points, {face: (4, ni, nj,
+        nq_1d)}: the block's trace scratch, which the next call
+        overwrites (module docstring)."""
+        if self._traces is None:
+            shape = (4, self.block.ni, self.block.nj, self.basis.nq_1d)
+            self._traces = {f: np.empty(shape) for f in FACES}
+        for f, t in self._traces.items():
+            np.matmul(coeffs, self.basis.face_V[f].T, out=t)
+        return self._traces
 
     def cell_means(self, coeffs, mask=None):
         """Per-element means of the conserved variables, shape (4,ni,nj).
@@ -325,12 +346,17 @@ class Discretization:
         """flux*sJ at every element face, (4, ni, nj, 4 * nq_1d): face
         k's quadrature points are slot k, faces in ``FACES`` order. One
         flux per face pair, added to one side and subtracted from the
-        other, one flux call per row range of a pair (``_pair_rows``)."""
+        other, one flux call per row range of a pair (``_pair_rows``).
+        The result is the block's surface-flux scratch, which the next
+        call overwrites (module docstring)."""
         gas = self.gas
         v = slice(None)  # the variable axis, ahead of an element selection
         tr = self.face_traces(coeffs)
         nf = self.basis.nq_1d
-        S = np.empty(coeffs.shape[:-1] + (len(FACES) * nf,))
+        if self._S is None:
+            self._S = np.empty((4, self.block.ni, self.block.nj,
+                                len(FACES) * nf))
+        S = self._S
         slot = {f: S[..., k * nf:(k + 1) * nf] for k, f in enumerate(FACES)}
         for fa, sa, fb, sb, nx, ny, sj in self._pair_rows:
             fhat = self.flux(tr[fa][(v, *sa)], tr[fb][(v, *sb)], nx, ny, gas)
@@ -350,11 +376,14 @@ class Discretization:
                 slot[face][(v, *sel)] = fhat[:, rows].reshape(4, *shape, nf)
         return S
 
-    def residual(self, coeffs):
+    def residual(self, coeffs, out=None):
         """Semi-discrete rate of change of the modal coefficients, exactly
-        zero at inactive elements."""
+        zero at inactive elements, written into ``out`` (a new array
+        when None) and returned."""
         S = self._surface_fluxes(coeffs)
-        out = np.zeros(coeffs.shape)
+        if out is None:
+            out = np.empty(coeffs.shape)
+        out[(slice(None), *self._inactive)] = 0.0
         for sel, (x_r, x_s, y_r, y_s) in zip(self.row_blocks,
                                              self._row_metrics):
             at = (slice(None), *sel)

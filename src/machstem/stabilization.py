@@ -24,10 +24,10 @@ modes integrate to nonzero, so limiting moves the element mean and the
 domain totals.
 
 Both see their neighbors through the block's face pairs
-(``GridBlock.face_pairs``), periodic sides included. Across a boundary
-side there is no neighbor: the indicator compares the element's trace
-with itself (zero jump) and the limiter drops that side's constraint
-(one-sided limiting).
+(``GridBlock.face_pairs``), periodic sides included, and read the
+neighbour's values in place, with no copy of them. Across a boundary
+side there is no neighbor: the indicator counts no jump there and the
+limiter drops that side's constraint (one-sided limiting).
 
 The positivity guard (after Zhang & Shu, JCP 229:8918, 2010) keeps each
 active cell's mean and its values at the guard nodes (``Basis.node_V``:
@@ -75,31 +75,31 @@ SQRT3 = np.sqrt(3.0)
 DELTA = 1e-12
 
 
-def _neighbor_traces(disc, traces):
-    """Neighbor trace values seen through each face; boundary faces keep
-    the element's own trace (zero jump)."""
-    out = {f: t.copy() for f, t in traces.items()}
-    v = slice(None)
-    for fa, sa, fb, sb in disc.block.face_pairs:
-        out[fa][(v, *sa)] = traces[fb][(v, *sb)]
-        out[fb][(v, *sb)] = traces[fa][(v, *sa)]
-    return out
-
-
 def kxrcf_indicator(disc, coeffs, variables=(0,), threshold=1.0):
     """Inflow-boundary jump indicator.
 
     Returns ``(indicator, flagged)``: the indicator is the maximum over
     the requested conserved variables, shape (ni, nj); ``flagged`` marks
     elements where it exceeds the threshold.
+
+    The traces are the block's scratch (``Discretization.face_traces``).
+    The jumps are formed per face pair, on each side's faces only, with
+    no copy of the neighbour traces; a boundary face adds nothing.
     """
     basis, geo = disc.basis, disc.geo
     traces = disc.face_traces(coeffs)
-    nbr = _neighbor_traces(disc, traces)
     w1 = basis.q1d_weights
+    # per face: (its selection, the neighbour's face, the neighbour's
+    # selection) for each face pair it belongs to
+    across = {f: [] for f in traces}
+    for fa, sa, fb, sb in disc.block.face_pairs:
+        across[fa].append((sa, fb, sb))
+        across[fb].append((sb, fa, sa))
 
     num = np.zeros((len(variables), disc.block.ni, disc.block.nj))
     inflow_len = np.zeros((disc.block.ni, disc.block.nj))
+    # faces in a fixed order, so each element sums its faces' terms in
+    # the order W, E, S, N
     for face in (FACE_W, FACE_E, FACE_S, FACE_N):
         tr = traces[face]
         n = geo.face_normal[face]
@@ -108,8 +108,10 @@ def kxrcf_indicator(disc, coeffs, variables=(0,), threshold=1.0):
             inflow = vn < 0.0
         wgt = inflow * w1 * geo.face_sj[face][..., None]
         inflow_len += wgt.sum(axis=2)
-        for k, v in enumerate(variables):
-            num[k] += ((tr[v] - nbr[face][v]) * wgt).sum(axis=2)
+        for own, other, at in across[face]:
+            for k, v in enumerate(variables):
+                jump = tr[(v, *own)] - traces[other][(v, *at)]
+                num[k][own] += (jump * wgt[own]).sum(axis=2)
 
     vals = disc.evaluate(coeffs[list(variables)])
     ind = np.zeros_like(inflow_len)
@@ -125,11 +127,14 @@ def kxrcf_indicator(disc, coeffs, variables=(0,), threshold=1.0):
 
 
 def _minmod3(a, b, c):
-    s = np.sign(a)
-    agree = (np.sign(b) == s) & (np.sign(c) == s)
-    return np.where(agree, s * np.minimum(np.abs(a),
-                                          np.minimum(np.abs(b),
-                                                     np.abs(c))), 0.0)
+    """The argument of least magnitude when all three share a sign, else
+    0: the smallest when all are positive, the largest when all are
+    negative; a NaN argument gives 0. Eight array passes, and the bits
+    of the sign-and-magnitude form, signed zeros and infinities
+    included."""
+    lo = np.minimum(a, np.minimum(b, c))
+    hi = np.maximum(a, np.maximum(b, c))
+    return np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))
 
 
 def moment_limit(disc, coeffs, flagged, tvb_m=0.0):

@@ -11,6 +11,19 @@ combinations of forward-Euler steps, so limiting and positivity repairs
 applied per stage carry over to the full step, which the fifth-order
 tableau (with its negative stage weights) cannot guarantee near shocks.
 
+Both marchers allocate their work arrays once per call and reuse them
+at every step. ``march_to_steady`` keeps two arrays per block besides
+the coefficients, a rate and a stage, and does the SSP algebra in place
+(the low-storage form: Ketcheson, SIAM J. Sci. Comput. 30:2113, 2008):
+the first rate becomes the first stage, the second rate is blended
+into the second stage, and the third rate is blended into the
+coefficients. ``advance_time`` keeps its six rates and one stage. Each
+in-place update keeps the operation order of the out-of-place formulas
+(only the operands of commutative products and sums swap), so the
+results are bit for bit those of the formulas. A per-element dt that
+broadcasts against the coefficients would go through the same in-place
+stages.
+
 Checkpoints are written as raw float64 ``.npy`` arrays, one per block,
 with a JSON sidecar; reloading reproduces the coefficients bit for bit.
 """
@@ -43,6 +56,11 @@ class System:
 
     ``transfer`` and ``limiter`` are optional callables taking the list of
     coefficient arrays and mutating it in place; transfer runs first.
+
+    ``rhs(coeffs_list, out)`` writes each block's rate into the matching
+    array of ``out`` and returns the list of rates. The marchers use the
+    arrays ``rhs`` returns, which need not be ``out``'s, as their work
+    arrays and overwrite them.
     """
 
     def __init__(self, discs, transfer=None, limiter=None):
@@ -56,8 +74,9 @@ class System:
         if self.limiter is not None:
             self.limiter(coeffs_list)
 
-    def rhs(self, coeffs_list):
-        return [d.residual(c) for d, c in zip(self.discs, coeffs_list)]
+    def rhs(self, coeffs_list, out):
+        return [d.residual(c, r)
+                for d, c, r in zip(self.discs, coeffs_list, out)]
 
     def max_wave_speed(self, coeffs_list):
         """Per-block (ni, nj) arrays of the element max |u| + a, zero at
@@ -121,6 +140,9 @@ def march_to_steady(system, coeffs_list, *, cfl=0.3, max_iterations=1000,
     a plateau, not ``tol``, is the practical end state of shocked runs.
     """
     system.apply_hooks(coeffs_list)
+    # the rate and the stage of each block (module docstring)
+    rate = [np.empty_like(c) for c in coeffs_list]
+    stage = [np.empty_like(c) for c in coeffs_list]
     history = []
     resid0 = None
     resid = np.inf
@@ -140,20 +162,31 @@ def march_to_steady(system, coeffs_list, *, cfl=0.3, max_iterations=1000,
 
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             # SSP three-stage scheme (each stage a convex blend of
-            # forward-Euler steps; hooks keep every stage admissible)
-            k0 = system.rhs(coeffs_list)
-            u1 = [c + dt * r for c, r in zip(coeffs_list, k0)]
-            system.apply_hooks(u1)
-            k1 = system.rhs(u1)
-            u2 = [0.75 * c + 0.25 * (s + dt * r)
-                  for c, s, r in zip(coeffs_list, u1, k1)]
-            system.apply_hooks(u2)
-            k2 = system.rhs(u2)
-            for c, s, r in zip(coeffs_list, u2, k2):
+            # forward-Euler steps; hooks keep every stage admissible),
+            # k_i the rate at stage i
+            rate = system.rhs(coeffs_list, rate)
+            resid = system.density_residual(rate)
+            for c, r in zip(coeffs_list, rate):
+                r *= dt
+                r += c                      # u1 = c + dt k0, in k0's array
+            rate, stage = stage, rate
+            system.apply_hooks(stage)
+            rate = system.rhs(stage, rate)
+            for c, u, r in zip(coeffs_list, stage, rate):
+                r *= dt
+                r += u
+                r *= 0.25
+                np.multiply(c, 0.75, out=u)
+                u += r                      # u2 = 3/4 c + 1/4 (u1 + dt k1)
+            system.apply_hooks(stage)
+            rate = system.rhs(stage, rate)
+            for c, u, r in zip(coeffs_list, stage, rate):
+                r *= dt
+                r += u
+                r *= 2.0 / 3.0
                 c *= 1.0 / 3.0
-                c += (2.0 / 3.0) * (s + dt * r)
+                c += r                      # 1/3 c + 2/3 (u2 + dt k2)
             system.apply_hooks(coeffs_list)
-            resid = system.density_residual(k0)
 
         history.append((it, resid, wave, dt))
         if log_every and (it % log_every == 0 or it == 1) and on_log:
@@ -178,21 +211,29 @@ def advance_time(system, coeffs_list, t_final, *, cfl=0.3):
     """March an unsteady problem to exactly ``t_final``."""
     t = 0.0
     system.apply_hooks(coeffs_list)
+    # the six rates and the stage (module docstring); the array of the
+    # rate about to be computed holds each product dt a_ij k_j, and the
+    # stage each dt b_i k_i, before it is summed
+    k = [[np.empty_like(c) for c in coeffs_list] for _ in range(N_STAGES)]
+    stage = [np.empty_like(c) for c in coeffs_list]
     while t < t_final - 1e-14:
         dt = min(system.stable_dt(coeffs_list, cfl)[0], t_final - t)
-        k = [system.rhs(coeffs_list)]
+        k[0] = system.rhs(coeffs_list, k[0])
         for i in range(1, N_STAGES):
-            stage = [c.copy() for c in coeffs_list]
+            for s, c in zip(stage, coeffs_list):
+                np.copyto(s, c)
             for aij, kj in zip(RK_A[i], k):
                 if aij != 0.0:
-                    for s, r in zip(stage, kj):
-                        s += dt * aij * r
+                    for s, r, tmp in zip(stage, kj, k[i]):
+                        np.multiply(r, dt * aij, out=tmp)
+                        s += tmp
             system.apply_hooks(stage)
-            k.append(system.rhs(stage))
+            k[i] = system.rhs(stage, k[i])
         for bi, ki in zip(RK_B, k):
             if bi != 0.0:
-                for c, r in zip(coeffs_list, ki):
-                    c += dt * bi * r
+                for c, r, tmp in zip(coeffs_list, ki, stage):
+                    np.multiply(r, dt * bi, out=tmp)
+                    c += tmp
         system.apply_hooks(coeffs_list)
         t += dt
     return t

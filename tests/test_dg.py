@@ -451,7 +451,7 @@ def test_row_blocks_match_one_block(monkeypatch, order, flux_name, layout,
     one = row_split_disc(monkeypatch, 10 ** 9, layout, order, flux_name,
                          masked)
     coeffs = random_admissible_state(one, seed=7 * order + masked)
-    S_ref = one._surface_fluxes(coeffs)
+    S_ref = one._surface_fluxes(coeffs).copy()   # the block's scratch
     rhs_ref = one.residual(coeffs)
     lam_ref = one.max_wave_speed(coeffs)
     for block_nodes in split_sizes(order):
@@ -478,6 +478,49 @@ def test_row_blocks_match_one_block(monkeypatch, order, flux_name, layout,
         lam = disc.max_wave_speed(coeffs)
         assert np.all(lam[~disc.active_mask] == 0.0)
         assert np.max(np.abs(lam - lam_ref)) <= 1e-14 * np.max(lam_ref)
+
+
+def test_residual_into_callers_array_matches_a_new_one(monkeypatch):
+    """A NaN-filled ``out`` gets the bits of a new array: the same rates,
+    and positive zeros at the inactive elements, on full, partly active
+    and inactive row blocks."""
+    disc = row_split_disc(monkeypatch, 3 * ROW_NJ * 16, "wedge", 2,
+                          "slau2", masked=True)
+    coeffs = random_admissible_state(disc, seed=8)
+    want = disc.residual(coeffs)
+    out = np.full(coeffs.shape, np.nan)
+    got = disc.residual(coeffs, out=out)
+    assert got is out
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    idle = got[:, ~disc.active_mask]
+    assert idle.size and np.all(idle == 0.0) and not np.signbit(idle).any()
+
+
+def test_blocks_keep_their_own_scratch():
+    """Each block owns its trace and flux scratch: a call on another
+    block of the same shape leaves them alone, and residuals called in
+    turn equal residuals of fresh blocks."""
+    def pair():
+        return (Discretization(wavy_block(6, 5), Basis(2), GAS),
+                Discretization(wavy_block(6, 5, amp=0.03,
+                                          tags=LAYOUTS["periodic"]),
+                               Basis(2), GAS))
+
+    a, b = pair()
+    ca = random_admissible_state(a, seed=1)
+    cb = random_admissible_state(b, seed=2)
+    fresh = [d.residual(c) for d, c in zip(pair(), (ca, cb))]
+    S = a._surface_fluxes(ca)
+    traces = a.face_traces(ca)
+    kept = S.copy(), {f: t.copy() for f, t in traces.items()}
+    rb = b.residual(cb)
+    assert np.array_equal(S, kept[0])
+    assert all(np.array_equal(traces[f], kept[1][f]) for f in traces)
+    assert a.face_traces(ca) is traces and a._surface_fluxes(ca) is S
+    for _ in range(2):
+        assert np.array_equal(a.residual(ca), fresh[0])
+        assert np.array_equal(b.residual(cb), fresh[1])
+    assert np.array_equal(rb, fresh[1])
 
 
 def dipping_state(disc):

@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from machstem import config, convergence, pipeline
 from machstem.basis import Basis, FACE_W, FACE_E, FACE_S, FACE_N
 from machstem.dg import Discretization
 from machstem.errors import DivergenceError
 from machstem.gas import GasModel, free_stream
 from machstem.mesh import GridBlock, TAG_INFLOW, TAG_OUTFLOW
-from machstem.timestepping import (System, march_to_steady,
+from machstem.overset import CompositeSampler
+from machstem.stabilization import kxrcf_indicator
+from machstem.timestepping import (System, MarchResult, march_to_steady,
                                    advance_time, save_checkpoint,
-                                   load_checkpoint, RK_B)
+                                   load_checkpoint, RK_A, RK_B, N_STAGES)
 
 GAS = GasModel()
 
@@ -35,7 +40,7 @@ class ScalarODE:
     def apply_hooks(self, coeffs_list):
         pass
 
-    def rhs(self, coeffs_list):
+    def rhs(self, coeffs_list, out):
         return [self.f(c) for c in coeffs_list]
 
     def stable_dt(self, coeffs_list, cfl):
@@ -141,7 +146,7 @@ def test_march_reports_divergence_without_raising():
         def stable_dt(self, cl, cfl):
             return 0.1, 1.0
 
-        def rhs(self, cl):
+        def rhs(self, cl, out):
             return [10.0 * c for c in cl]
 
         def density_residual(self, rhs_list):
@@ -203,3 +208,268 @@ def test_checkpoint_shape_mismatch_detected(tmp_path):
     p.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="does not match"):
         load_checkpoint(tmp_path / "ck")
+
+
+# ---- the in-place stages against the out-of-place formulas ------------
+
+def new_rates(system, coeffs_list):
+    return [d.residual(c) for d, c in zip(system.discs, coeffs_list)]
+
+
+def out_of_place_march(system, coeffs_list, *, cfl=0.3,
+                           max_iterations=1000, tol=1e-8, cfl_ramp_iters=0,
+                           cfl_start=None, diverge_factor=1e4,
+                           stall_window=0, log_every=0, on_log=None):
+    """The SSP march with a new array for every rate and stage."""
+    system.apply_hooks(coeffs_list)
+    history = []
+    resid0 = None
+    resid = np.inf
+    best = np.inf
+    best_it = 0
+    it = 0
+    for it in range(1, max_iterations + 1):
+        cfl_now = cfl
+        if cfl_ramp_iters > 0:
+            lo = cfl_start if cfl_start is not None else 0.25 * cfl
+            frac = min(1.0, it / float(cfl_ramp_iters))
+            cfl_now = lo + (cfl - lo) * frac
+        try:
+            dt, wave = system.stable_dt(coeffs_list, cfl_now)
+        except DivergenceError:
+            return MarchResult("diverged", it - 1, resid, history)
+
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            k0 = new_rates(system, coeffs_list)
+            u1 = [c + dt * r for c, r in zip(coeffs_list, k0)]
+            system.apply_hooks(u1)
+            k1 = new_rates(system, u1)
+            u2 = [0.75 * c + 0.25 * (s + dt * r)
+                  for c, s, r in zip(coeffs_list, u1, k1)]
+            system.apply_hooks(u2)
+            k2 = new_rates(system, u2)
+            for c, s, r in zip(coeffs_list, u2, k2):
+                c *= 1.0 / 3.0
+                c += (2.0 / 3.0) * (s + dt * r)
+            system.apply_hooks(coeffs_list)
+            resid = system.density_residual(k0)
+
+        history.append((it, resid, wave, dt))
+        if not np.isfinite(resid):
+            return MarchResult("diverged", it, resid, history)
+        if resid0 is None:
+            resid0 = max(resid, 1e-300)
+        elif resid > diverge_factor * resid0:
+            return MarchResult("diverged", it, resid, history)
+        if resid < tol:
+            return MarchResult("converged", it, resid, history)
+        if resid < 0.99 * best:
+            best = resid
+            best_it = it
+        elif stall_window and it - best_it >= stall_window:
+            return MarchResult("stalled", it, resid, history)
+    return MarchResult("max_iterations", it, resid, history)
+
+
+def out_of_place_advance_time(system, coeffs_list, t_final, *, cfl=0.3):
+    """The RK5 march with a new array for every rate and stage."""
+    t = 0.0
+    system.apply_hooks(coeffs_list)
+    while t < t_final - 1e-14:
+        dt = min(system.stable_dt(coeffs_list, cfl)[0], t_final - t)
+        k = [new_rates(system, coeffs_list)]
+        for i in range(1, N_STAGES):
+            stage = [c.copy() for c in coeffs_list]
+            for aij, kj in zip(RK_A[i], k):
+                if aij != 0.0:
+                    for s, r in zip(stage, kj):
+                        s += dt * aij * r
+            system.apply_hooks(stage)
+            k.append(new_rates(system, stage))
+        for bi, ki in zip(RK_B, k):
+            if bi != 0.0:
+                for c, r in zip(coeffs_list, ki):
+                    c += dt * bi * r
+        system.apply_hooks(coeffs_list)
+        t += dt
+    return t
+
+
+def copying_kxrcf_indicator(disc, coeffs, variables=(0,), threshold=1.0):
+    """The indicator with whole-block copies of the neighbour traces."""
+    basis, geo = disc.basis, disc.geo
+    traces = {f: coeffs @ basis.face_V[f].T
+              for f in (FACE_W, FACE_E, FACE_S, FACE_N)}
+    nbr = {f: t.copy() for f, t in traces.items()}
+    v = slice(None)
+    for fa, sa, fb, sb in disc.block.face_pairs:
+        nbr[fa][(v, *sa)] = traces[fb][(v, *sb)]
+        nbr[fb][(v, *sb)] = traces[fa][(v, *sa)]
+    w1 = basis.q1d_weights
+    num = np.zeros((len(variables), disc.block.ni, disc.block.nj))
+    inflow_len = np.zeros((disc.block.ni, disc.block.nj))
+    for face in (FACE_W, FACE_E, FACE_S, FACE_N):
+        tr = traces[face]
+        n = geo.face_normal[face]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            vn = (tr[1] * n[..., 0, None] + tr[2] * n[..., 1, None]) / tr[0]
+            inflow = vn < 0.0
+        wgt = inflow * w1 * geo.face_sj[face][..., None]
+        inflow_len += wgt.sum(axis=2)
+        for k, var in enumerate(variables):
+            num[k] += ((tr[var] - nbr[face][var]) * wgt).sum(axis=2)
+    vals = disc.evaluate(coeffs[list(variables)])
+    ind = np.zeros_like(inflow_len)
+    active = inflow_len > 0.0
+    hpow = geo.h_max_edge ** (0.5 * (basis.order + 1))
+    for k in range(len(variables)):
+        norm = np.max(np.abs(vals[k]), axis=2)
+        den = hpow * inflow_len * np.maximum(norm, 1e-300)
+        with np.errstate(invalid="ignore"):
+            ind_v = np.where(active, np.abs(num[k]) / den, 0.0)
+        ind = np.maximum(ind, ind_v)
+    return ind, ind > threshold
+
+
+class Compared(Exception):
+    """Ends the calling stage once its march has been compared."""
+
+
+def compare_marchers(monkeypatch, module, name, reference, runs):
+    """Make ``module.name`` run ``reference`` on a copy of the start state
+    and then the marcher itself, record both, and raise ``Compared``."""
+    marcher = getattr(module, name)
+
+    def both(system, coeffs_list, *args, **kwargs):
+        ref = [c.copy() for c in coeffs_list]
+        want = reference(system, ref, *args, **kwargs)
+        got = marcher(system, coeffs_list, *args, **kwargs)
+        runs.append((system, ref, coeffs_list, want, got))
+        raise Compared
+
+    monkeypatch.setattr(module, name, both)
+
+
+def assert_same_march(run):
+    system, ref, coeffs, want, got = run
+    if isinstance(want, MarchResult):
+        assert got.outcome == want.outcome
+        assert got.iterations == want.iterations
+        assert np.array_equal(np.array(got.history), np.array(want.history))
+    else:
+        assert got == want
+    for c, r in zip(coeffs, ref):
+        assert np.all(np.isfinite(c))
+        assert np.array_equal(c, r)
+    for d, c in zip(system.discs, coeffs):
+        for variables in ((0,), (0, 3)):
+            new = kxrcf_indicator(d, c, variables)
+            old = copying_kxrcf_indicator(d, c, variables)
+            assert np.array_equal(new[0], old[0])
+            assert np.array_equal(new[1], old[1])
+
+
+def small_wedge(**over):
+    """The tiny regular-reflection case of the pipeline smoke test."""
+    cfg = config.parse_config(None, overrides=dict({
+        "case.wedge_angle_deg": "16",
+        "case.coarse_grid": "40x20",
+        "case.fine_background_grid": "20x10",
+        "case.overset_grid": "24x16",
+        "solver.fine_order": "2",
+        "solver.coarse_max_iterations": "30",
+        "solver.fine_max_iterations": "4",
+        "solver.cfl_ramp_iters": "50",
+        "solver.stall_window": "0",
+        "solver.log_every": "0"}, **over))
+    return cfg, config.case_from_config(cfg)
+
+
+def test_coarse_march_matches_out_of_place_stages(monkeypatch):
+    """run_coarse's block: every cell limited, guard on, bit for bit."""
+    cfg, case = small_wedge()
+    runs = []
+    compare_marchers(monkeypatch, pipeline, "march_to_steady",
+                     out_of_place_march, runs)
+    with pytest.raises(Compared):
+        pipeline.run_coarse(case, cfg)
+    assert_same_march(runs[0])
+    assert runs[0][4].iterations == 30
+
+
+def test_fine_march_matches_out_of_place_stages(monkeypatch):
+    """run_fine's P2 background and patch with its hooks: transfer, the
+    indicator-gated patch and the guarded background, bit for bit."""
+    cfg, case = small_wedge(**{"solver.coarse_max_iterations": "60"})
+    coarse = pipeline.run_coarse(case, cfg)
+    runs = []
+    compare_marchers(monkeypatch, pipeline, "march_to_steady",
+                     out_of_place_march, runs)
+    with pytest.raises(Compared):
+        pipeline.run_fine(case, cfg, coarse,
+                          CompositeSampler([coarse.disc], [coarse.coeffs]))
+    system = runs[0][0]
+    assert len(system.discs) == 2 and system.transfer is not None
+    assert_same_march(runs[0])
+
+
+def test_vortex_advance_time_matches_out_of_place_stages(monkeypatch):
+    """The two-block P4 vortex (16 cells) through the RK5 stages."""
+    runs = []
+    compare_marchers(monkeypatch, convergence, "advance_time",
+                     out_of_place_advance_time, runs)
+    with pytest.raises(Compared):
+        convergence.two_block_study(4)
+    assert runs[0][0].discs[0].block.ni == 16
+    assert_same_march(runs[0])
+
+
+def test_march_keeps_memory_flat_at_residual_entries(monkeypatch):
+    """From the second iteration on, the traced memory at every residual
+    entry is the same to within 1% of one state array: no rate, stage or
+    scratch is allocated anew."""
+    cfg, case = small_wedge(**{"case.coarse_grid": "80x40",
+                               "solver.coarse_max_iterations": "5"})
+    entries = []
+    residual = Discretization.residual
+
+    def recording(disc, *args, **kwargs):
+        entries.append(tracemalloc.get_traced_memory()[0])
+        return residual(disc, *args, **kwargs)
+
+    monkeypatch.setattr(Discretization, "residual", recording)
+    tracemalloc.start()
+    try:
+        coarse = pipeline.run_coarse(case, cfg)
+    finally:
+        tracemalloc.stop()
+    state = coarse.coeffs.nbytes
+    assert len(entries) == 3 * 5
+    later = np.array(entries[3:])
+    assert later.max() - later.min() <= 0.01 * state
+
+
+def test_march_uses_the_arrays_rhs_returns():
+    """A system whose rhs returns new arrays, not ``out``, marches as
+    the out-of-place formulas do."""
+    class Decay:
+        def apply_hooks(self, cl):
+            pass
+
+        def stable_dt(self, cl, cfl):
+            return 0.1, 1.0
+
+        def rhs(self, cl, out):
+            return [-c for c in cl]
+
+        def density_residual(self, rhs_list):
+            return float(np.abs(rhs_list[0]).max())
+
+    got = [np.linspace(1.0, 2.0, 12).reshape(4, 1, 1, 3)]
+    want = [got[0].copy()]
+    march_to_steady(Decay(), got, max_iterations=3, tol=0.0)
+    for _ in range(3):
+        u1 = want[0] - 0.1 * want[0]
+        u2 = 0.75 * want[0] + 0.25 * (u1 - 0.1 * u1)
+        want[0] = want[0] * (1.0 / 3.0) + (2.0 / 3.0) * (u2 - 0.1 * u2)
+    assert np.array_equal(got[0], want[0])
