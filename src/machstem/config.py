@@ -86,12 +86,8 @@ SCHEMA = {
     "overset.margin_cells": _Key(int, 3, lambda v: v >= 0, ">= 0"),
     "overset.grid_file": _Key(str, "", None, "path or empty"),
     # shock measurement
-    "measurement.vertical_tol_deg": _Key(float, 10.0,
-                                         lambda v: 0.0 < v < 45.0,
-                                         "in (0, 45)"),
     "measurement.n_lines": _Key(int, 120, lambda v: v >= 16, ">= 16"),
     "measurement.nx": _Key(int, 1200, lambda v: v >= 64, ">= 64"),
-    "measurement.grad_floor": _Key(float, 0.05, lambda v: v > 0.0, "> 0"),
     # sweep
     "sweep.angles_deg": _Key(_str_list, (), None, "comma list of degrees"),
     "sweep.chain": _Key(int, 1, lambda v: v in (0, 1), "0 or 1"),

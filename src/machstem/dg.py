@@ -125,6 +125,16 @@ class Discretization:
         # integral of every mode over every element, (ni, nj, n_modes)
         self._mode_integrals = ((basis.vol_weights * self.geo.detJ)
                                 @ basis.vol_V)
+        # I_p / I_0 for p >= 1, the change of an element's mode 0 that
+        # keeps its mean when mode p falls by one, at the elements (flat
+        # indices) where one is nonzero; on a parallelogram every one is
+        # rounding of a zero, below 1e-13, and is stored as 0
+        # (stabilization.moment_limit)
+        shift = self._mode_integrals[..., 1:] / self._mode_integrals[..., :1]
+        shift[np.abs(shift) < 1e-13] = 0.0
+        self.skewed = np.flatnonzero(shift.any(axis=-1))
+        self.mean_shift = shift.reshape(block.ni * block.nj,
+                                        basis.n_modes - 1)[self.skewed]
         self._pair_table()
         self._boundary_table()
         # the face-trace and surface-flux scratch (module docstring),

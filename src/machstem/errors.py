@@ -27,8 +27,9 @@ class DivergenceError(MachstemError):
 class MeasurementError(MachstemError):
     """Front extraction or classification could not produce an answer.
 
-    ``diagnostics`` carries intermediate data (front points, fit angles)
-    so a failed measurement can be inspected.
+    ``diagnostics`` carries intermediate data (the front points, their
+    peak gradients and the least Mach number behind each) so a failed
+    measurement can be inspected.
     """
 
     exit_code = 4

@@ -456,6 +456,3 @@ class CompositeSampler:
             out[:, sel] = np.einsum("qd,vqd->vq", modes, c, optimize=True)
             todo[sel] = False
         return out
-
-    def density(self, pts):
-        return self.states(pts)[0]

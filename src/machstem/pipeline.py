@@ -31,7 +31,7 @@ from .stabilization import Stabilizer, kxrcf_indicator, make_limiter_hook
 from .timestepping import (System, load_checkpoint, march_to_steady,
                            save_checkpoint)
 from .wedge import (FlowCase, StemMeasurement, build_wedge_grid, measure_stem,
-                    tls_line, top_profile, wedge_geometry)
+                    top_profile, wedge_geometry)
 
 CHECKPOINT_DIR = "checkpoint"
 OVERSET_GRID_FILE = "overset.grid"
@@ -39,6 +39,22 @@ OVERSET_GRID_FILE = "overset.grid"
 
 # ---------------------------------------------------------------------------
 # shock-path fitting
+
+
+def tls_line(pts):
+    """Total-least-squares line through points: (point, direction, rms).
+
+    The direction is a unit vector pointing toward +x (toward +y when
+    vertical).
+    """
+    ctr = pts.mean(axis=0)
+    d = pts - ctr
+    _, _, vt = np.linalg.svd(d, full_matrices=False)
+    direction = vt[0]
+    if direction[0] < 0 or (direction[0] == 0 and direction[1] < 0):
+        direction = -direction
+    resid = d @ np.array([-direction[1], direction[0]])
+    return ctr, direction, float(np.sqrt(np.mean(resid ** 2)))
 
 
 @dataclass
@@ -302,10 +318,13 @@ def _insert_kinks(stations, case):
 def build_aligned_grid(case, cfg, flag_points, segments=None):
     """Refined patch following the shock band, fitted to the flag map.
 
-    The grid's lengthwise coordinate family runs parallel to the local
-    shock path: the patch midline tracks the flagged band, and the upper
-    and lower edges offset it far enough to enclose every flagged cell
-    plus a margin, clipped to the channel walls.  Past the flagged band
+    The patch's cross-stream grid lines are x = const stations. Its
+    lengthwise family follows the band's midline, the binned and
+    smoothed middle height of the flagged centroids at each station, not
+    any shock path: the incident shock of the 24 deg case, at about 43 deg
+    to the wall, crosses both families obliquely.  The upper and lower edges offset the
+    midline far enough to enclose every flagged cell plus a margin,
+    clipped to the channel walls.  Past the flagged band
     the patch widens to the full channel section and runs to the exit:
     the reflected shock and the slip layers keep going downstream of
     where the locating grid can still flag them, and every discontinuity
@@ -560,9 +579,7 @@ def run_fine(case, cfg, coarse, seed, *, on_log=None):
         measurement = measure_stem(
             CompositeSampler(discs[::-1], coeffs[::-1]), case,
             cell_size=cell, n_lines=cfg["measurement.n_lines"],
-            nx=cfg["measurement.nx"],
-            vertical_tol_deg=cfg["measurement.vertical_tol_deg"],
-            grad_floor=cfg["measurement.grad_floor"])
+            nx=cfg["measurement.nx"])
     return FineResult(discs, coeffs, assembly, march, measurement,
                       invariants, cell)
 

@@ -15,13 +15,17 @@ limited; everything else keeps its full high-order polynomial.
 The limiter drops every mode of total degree two or higher in a flagged
 element and applies a minmod comparison of the two linear modes against
 scaled neighbor mean differences, chosen so that data that are exactly
-linear across a uniform grid pass through unchanged. Mode 0 is never
-modified. On a parallelogram every other mode integrates to zero, so
-there the element mean is kept, the limiter is conservative, and a
-second application is a no-op. On other elements, such as the wedge
-section's and the shock-aligned patch's trapezoids, the linear and cross
-modes integrate to nonzero, so limiting moves the element mean and the
-domain totals.
+linear across a uniform grid pass through unchanged. Every element
+keeps its mean, so the limiter is conservative:
+
+- On a parallelogram every mode but mode 0 integrates to zero, so mode 0
+  is left alone, and a second application is a no-op.
+- On other elements, such as the wedge section's and the shock-aligned
+  patch's trapezoids, the linear and cross modes integrate to nonzero.
+  There the limiter adds sum_p (old_p - new_p) I_p / I_0 to mode 0,
+  with I_p the integral of mode p over the element
+  (``Discretization.mean_shift``), which puts back the mean that the
+  changed modes took away.
 
 Both see their neighbors through the block's face pairs
 (``GridBlock.face_pairs``), periodic sides included, and read the
@@ -138,17 +142,25 @@ def _minmod3(a, b, c):
 
 
 def moment_limit(disc, coeffs, flagged, tvb_m=0.0):
-    """Limit flagged elements in place; mode 0 is untouched, which keeps
-    the means of parallelograms only (module docstring).
+    """Limit flagged elements in place, keeping every element's mean
+    (module docstring).
 
     The minmod is taken, and the modes written, at the flagged elements
     only: through slices when every element is flagged, through their
-    indices otherwise.
+    indices otherwise. Mode 0 changes only at the flagged elements that
+    are not parallelograms (``Discretization.skewed``).
     """
     if not np.any(flagged):
         return
     basis = disc.basis
     means = disc.cell_means(coeffs)
+    v = slice(None)
+    # the flagged elements that are not parallelograms (flat indices),
+    # their mean shifts and their modes before limiting; a take on the
+    # merged element axis is faster than an (i, j) gather
+    fix = np.take(flagged, disc.skewed)
+    skewed, shift = disc.skewed[fix], disc.mean_shift[fix]
+    before = coeffs.reshape(4, -1, basis.n_modes).take(skewed, axis=1)
     if flagged.all():
         sel = (slice(None), slice(None))
         high = (slice(None), slice(None), basis.modes_high)
@@ -162,7 +174,6 @@ def moment_limit(disc, coeffs, flagged, tvb_m=0.0):
     c01 = coeffs[:, :, :, basis.mode_lin_s]
     diff = {f: c.copy() for f, c in ((FACE_W, c10), (FACE_E, c10),
                                      (FACE_S, c01), (FACE_N, c01))}
-    v = slice(None)
     for fa, sa, fb, sb in disc.block.face_pairs:
         # face_a is the E or N face, so this is the forward difference
         diff[fa][(v, *sa)] = diff[fb][(v, *sb)] = (
@@ -177,6 +188,11 @@ def moment_limit(disc, coeffs, flagged, tvb_m=0.0):
             lim = np.where(np.abs(own) <= keep, own, lim)
         c[(v, *sel)] = lim
     coeffs[(v, *high)] = 0.0
+    if skewed.size:
+        lost = before - coeffs.reshape(4, -1, basis.n_modes).take(skewed,
+                                                                  axis=1)
+        at = np.unravel_index(skewed, flagged.shape)
+        coeffs[(v, *at, 0)] += np.einsum("vnp,np->vn", lost[..., 1:], shift)
 
 
 def _dips_below_floors(vals, gas, rho_floor, p_floor):

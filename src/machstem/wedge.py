@@ -9,6 +9,24 @@ top boundary opens to outflow.  The incident oblique shock generated by
 the wedge reflects off the bottom wall either regularly (RR) or through
 a Mach stem (MR); `measure_stem` classifies a computed flow field and
 extracts the stem height.
+
+`measure_stem` reads the Mach number just behind the front, the
+textbook criterion (Hornung & Robinson, JFM 123:155, 1982; Ben-Dor,
+*Shock Wave Reflection Phenomena*, 2nd ed., 2007): it is subsonic behind
+a Mach stem (0.475 behind a normal shock at M=3) and supersonic behind
+both shocks of a regular reflection (1.586 at M=3 and 16 deg). No line
+is fitted.
+
+- The front on a line is the leftmost gradient peak of at least half
+  the line's largest. A lower floor picks up the ripples ahead of a
+  captured shock: on a 24 deg coarse state one 3 cells upstream, at 3 %
+  of the shock's peak. Half still keeps the incident shock ahead of the
+  reflected one, whose density jump it is 0.58-0.86 of at M=3 and
+  16-24 deg.
+- The strip tested is 4 cells long: a captured or projected shock is
+  smeared over one to two cells, and the strip must reach the state
+  behind it. Near the wall of an RR it may cross the reflected shock,
+  behind which the flow is supersonic too.
 """
 
 import math
@@ -18,10 +36,13 @@ import numpy as np
 
 from . import mesh
 from .errors import ConfigError, MeasurementError
-from .gas import GasModel, free_stream
+from .gas import GasModel, free_stream, pressure, sound_speed
 
 X_LE_FACTOR = 0.4          # leading edge position in channel heights
 CHANNEL_HEIGHT = 1.0
+# measure_stem's front peak floor and strip length (module docstring)
+FRONT_FRACTION = 0.5
+STRIP_CELLS = 4.0
 
 
 @dataclass
@@ -164,132 +185,70 @@ class StemMeasurement:
             assert self.stem_height_ratio is not None and self.stem_height_ratio > 0
 
 
-def _front_points(sampler, case, y_lines, nx, x_lo, x_hi, grad_floor):
-    """Leftmost strong density-gradient station on each horizontal line."""
-    xs = np.linspace(x_lo, x_hi, nx)
-    dx = xs[1] - xs[0]
-    pts, strengths = [], []
-    for y in y_lines:
-        line = np.stack([xs, np.full(nx, y)], axis=1)
-        rho = sampler.density(line)
-        grad = np.abs(np.gradient(rho, dx))
-        floor = grad_floor * (rho.max() - rho.min()) / (x_hi - x_lo)
-        peaks = np.where((grad[1:-1] >= grad[:-2]) & (grad[1:-1] > grad[2:]) &
-                         (grad[1:-1] > floor))[0] + 1
-        if len(peaks) == 0:
-            continue
-        k = peaks[0]                      # leftmost: incident shock or stem
-        # parabolic sub-cell refinement of the peak position
-        g0, g1, g2 = grad[k - 1], grad[k], grad[k + 1]
-        denom = g0 - 2.0 * g1 + g2
-        shift = 0.5 * (g0 - g2) / denom if abs(denom) > 1e-300 else 0.0
-        pts.append((xs[k] + np.clip(shift, -1, 1) * dx, y))
-        strengths.append(g1)
-    return np.array(pts), np.array(strengths)
+def _least_mach(q, gas):
+    """Least Mach number of the states q, (4, n), that have positive
+    density and pressure; inf when none has."""
+    q = q[:, q[0] > 0.0]
+    q = q[:, pressure(q, gas) > 0.0]
+    speed = np.hypot(q[1], q[2]) / q[0]
+    return float(np.min(speed / sound_speed(q, gas), initial=np.inf))
 
 
-def tls_line(pts):
-    """Total-least-squares line through points: (point, direction, rms).
-
-    The direction is a unit vector pointing toward +x (toward +y when
-    vertical).
-    """
-    ctr = pts.mean(axis=0)
-    d = pts - ctr
-    _, _, vt = np.linalg.svd(d, full_matrices=False)
-    direction = vt[0]
-    if direction[0] < 0 or (direction[0] == 0 and direction[1] < 0):
-        direction = -direction
-    resid = d @ np.array([-direction[1], direction[0]])
-    return ctr, direction, float(np.sqrt(np.mean(resid ** 2)))
-
-
-def _angle_from_vertical_deg(direction):
-    return math.degrees(math.atan2(abs(direction[0]), abs(direction[1])))
-
-
-def measure_stem(sampler, case, *, cell_size, n_lines=120, nx=1200,
-                 vertical_tol_deg=10.0, grad_floor=0.05):
+def measure_stem(sampler, case, *, cell_size, n_lines=120, nx=1200):
     """Classify the reflection pattern and measure the Mach-stem height.
 
-    The shock front is traced as the locus of maximum density gradient
-    along horizontal sampling lines.  A Mach reflection is identified by
-    a near-vertical front segment (within `vertical_tol_deg` of vertical)
-    meeting the reflecting surface; the triple point is the intersection
-    of the fitted incident and stem lines and its height is the stem
-    height.  If the incident and reflected shocks meet at the wall within
-    one overset cell (`cell_size`), the pattern is a regular reflection.
+    Samples ``n_lines`` horizontal lines of ``nx`` stations, with one
+    ``sampler.states`` call per line. On each line the front is the
+    leftmost local maximum of |d rho / dx| that reaches
+    ``FRONT_FRACTION`` of the line's largest one, refined to sub-station
+    position by a parabola through the peak and its neighbours. Its
+    strip is the line's stations from the front to ``STRIP_CELLS``
+    ``cell_size`` behind it, and the strip is subsonic when its least
+    Mach number is below 1 (``_least_mach``).
+
+    The pattern is MR when the lowest line's strip is subsonic. The stem
+    height is then the y of the top line of the unbroken run of subsonic
+    lines counted up from the lowest line, and the triple point is that
+    line's front point. A stem no taller than ``cell_size`` is below the
+    measurement's resolution and reads RR, as does a supersonic lowest
+    strip. Lines without a front are left out; too few lines with a
+    front raise ``MeasurementError``.
     """
     geom = wedge_geometry(case)
-    y_hi = 0.85 * geom["y_te"]
-    y_lines = np.linspace(0.01 * CHANNEL_HEIGHT, y_hi, n_lines)
-    x_hi = min(case.length, geom["x_te"] + 0.6)
-    pts, strengths = _front_points(sampler, case, y_lines, nx,
-                                   geom["x_le"], x_hi, grad_floor)
-    diag = {"front_points": pts, "peak_gradients": strengths}
+    y_lines = np.linspace(0.01 * CHANNEL_HEIGHT, 0.85 * geom["y_te"], n_lines)
+    xs = np.linspace(geom["x_le"], min(case.length, geom["x_te"] + 0.6), nx)
+    dx = xs[1] - xs[0]
+    pts, peaks, strip_mach = [], [], []
+    for y in y_lines:
+        q = sampler.states(np.stack([xs, np.full(nx, y)], axis=1))
+        grad = np.abs(np.gradient(q[0], dx))
+        is_peak = ((grad[1:-1] >= grad[:-2]) & (grad[1:-1] > grad[2:]) &
+                   (grad[1:-1] >= FRONT_FRACTION * grad.max()))
+        if not is_peak.any():
+            continue
+        k = int(np.argmax(is_peak)) + 1          # the leftmost peak
+        g0, g1, g2 = grad[k - 1:k + 2]
+        denom = g0 - 2.0 * g1 + g2
+        shift = 0.5 * (g0 - g2) / denom if abs(denom) > 1e-300 else 0.0
+        x = xs[k] + np.clip(shift, -1, 1) * dx
+        strip = (xs >= x) & (xs <= x + STRIP_CELLS * cell_size)
+        pts.append((x, y))
+        peaks.append(g1)
+        strip_mach.append(_least_mach(q[:, strip], case.gas))
+    diag = {"front_points": np.array(pts), "peak_gradients": np.array(peaks),
+            "strip_min_mach": np.array(strip_mach)}
     if len(pts) < max(8, n_lines // 3):
         raise MeasurementError(
             f"shock front detected on only {len(pts)} of {n_lines} sampling "
             "lines; the flow is likely unconverged", diagnostics=diag)
 
-    order = np.argsort(pts[:, 1])
-    pts = pts[order]
-
-    # Two-piece fit: choose the split height minimizing total residual.
-    best = None
-    for split in range(4, len(pts) - 4):
-        lo, hi = pts[:split], pts[split:]
-        _, d_lo, r_lo = tls_line(lo)
-        _, d_hi, r_hi = tls_line(hi)
-        sse = r_lo ** 2 * len(lo) + r_hi ** 2 * len(hi)
-        if best is None or sse < best[0]:
-            best = (sse, split, d_lo, d_hi)
-    _, split, d_lo, d_hi = best
-    lo, hi = pts[:split], pts[split:]
-    c_lo, d_lo, r_lo = tls_line(lo)
-    c_hi, d_hi, r_hi = tls_line(hi)
-    ang_lo = _angle_from_vertical_deg(d_lo)
-    ang_hi = _angle_from_vertical_deg(d_hi)
-    diag.update(split_height=float(pts[split, 1]),
-                lower_angle_from_vertical_deg=ang_lo,
-                upper_angle_from_vertical_deg=ang_hi,
-                lower_rms=r_lo, upper_rms=r_hi)
-
-    one_line, d_all, r_all = tls_line(pts)
-    diag["single_line_rms"] = r_all
-
-    def height_at_wall_intersection():
-        # intersection of the two fitted lines
-        mat = np.stack([d_lo, -d_hi], axis=1)
-        if abs(np.linalg.det(mat)) < 1e-12:
-            return None
-        t = np.linalg.solve(mat, c_hi - c_lo)
-        return c_lo + t[0] * d_lo
-
-    stem_like = ang_lo <= vertical_tol_deg and ang_hi > vertical_tol_deg
-    if stem_like:
-        tp = height_at_wall_intersection()
-        if tp is None or not (0.0 < tp[1] < y_hi):
-            raise MeasurementError(
-                "incident and stem fits do not intersect inside the "
-                "measurement window", diagnostics=diag)
-        h_m = float(tp[1])
-        if h_m <= cell_size:
-            # front kink is within one overset cell of the wall: the
-            # incident and reflected shocks meet at the surface
-            return StemMeasurement("RR", None, None, diag)
-        return StemMeasurement("MR", h_m / CHANNEL_HEIGHT,
-                               (float(tp[0]), float(tp[1])), diag)
-
-    straight = r_all < 2.0 * cell_size and ang_hi > vertical_tol_deg
-    if straight or (ang_lo > vertical_tol_deg and ang_hi > vertical_tol_deg):
-        # single oblique front running to the wall: regular reflection
+    # lines in the unbroken run of subsonic strips from the lowest line
+    n_stem = int(np.logical_and.accumulate(diag["strip_min_mach"] < 1.0).sum())
+    if n_stem == 0 or pts[n_stem - 1][1] <= cell_size:
         return StemMeasurement("RR", None, None, diag)
-
-    raise MeasurementError(
-        "ambiguous reflection pattern: lower segment "
-        f"{ang_lo:.1f} deg and upper segment {ang_hi:.1f} deg from vertical",
-        diagnostics=diag)
+    x, y = pts[n_stem - 1]
+    return StemMeasurement("MR", y / CHANNEL_HEIGHT, (float(x), float(y)),
+                           diag)
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,20 @@ def test_benchmark_selftest_passes():
 
 
 def test_tracer_wraps_every_layer_and_restores_it():
-    from machstem import dg, fluxes, stabilization, timestepping
+    from machstem import (dg, fluxes, overset, stabilization, timestepping,
+                          wedge)
+
+    def layers():
+        return (dg.Discretization.residual, dict(fluxes.FLUXES),
+                stabilization.moment_limit, timestepping.System.stable_dt,
+                wedge.measure_stem, overset.CompositeSampler.states)
 
     tracing = _load_tracing()
-    before = (dg.Discretization.residual, dict(fluxes.FLUXES),
-              stabilization.moment_limit, timestepping.System.stable_dt)
+    before = layers()
     for probe in (tracing.Clock(), tracing.Tracer()):
         probe.install()
+        during = layers()
         probe.uninstall()
-    after = (dg.Discretization.residual, dict(fluxes.FLUXES),
-             stabilization.moment_limit, timestepping.System.stable_dt)
-    assert after == before
+        assert layers() == before
+    # the tracer replaced every one of them
+    assert all(a != b for a, b in zip(during, before))

@@ -245,6 +245,43 @@ def test_limiter_matches_whole_block_reference(order, periodic, flags,
         assert not np.array_equal(coeffs, start)
 
 
+@pytest.mark.parametrize("order", [1, 4])
+def test_limiter_keeps_means_and_totals_on_trapezoids(order):
+    """A projected oblique jump on a 30x10 wedge block, every element
+    limited: the means and domain totals stay, where leaving mode 0
+    alone moves them."""
+    case = FlowCase(mach=3.0, wedge_angle_deg=24.0)
+    disc = Discretization(build_wedge_grid(case, 30, 10), Basis(order), GAS)
+    coeffs = disc.project(lambda x, y: shock_ic(x + 0.8 * y, y, x0=1.2))
+    flagged = np.ones((30, 10), bool)
+    means, totals = disc.cell_means(coeffs), disc.conserved_totals(coeffs)
+    parent = coeffs.copy()
+    reference_moment_limit(disc, parent, flagged)
+    assert np.abs(disc.cell_means(parent) - means).max() > 0.01
+    moment_limit(disc, coeffs, flagged)
+    assert np.array_equal(coeffs[..., 1:], parent[..., 1:])
+    scale = np.abs(means).max(axis=(1, 2))[:, None, None]
+    assert np.allclose(disc.cell_means(coeffs), means, rtol=0,
+                       atol=1e-13 * scale)
+    assert np.allclose(disc.conserved_totals(coeffs), totals, rtol=1e-13)
+
+
+def test_limiter_changes_no_mean_mode_on_parallelograms():
+    """A sheared block, all parallelograms: no element gets a mean
+    correction, and the limiter writes the reference's bits."""
+    rng = np.random.default_rng(5)
+    disc = box_disc(7, 2, size=2.0)
+    verts = disc.block.vertices.copy()
+    verts[..., 0] += 0.4 * verts[..., 1]
+    disc = Discretization(GridBlock(verts), Basis(2), GAS)
+    assert disc.skewed.size == 0
+    coeffs = rng.standard_normal((4, 7, 7, disc.basis.n_modes))
+    ref = coeffs.copy()
+    reference_moment_limit(disc, ref, np.ones((7, 7), bool))
+    moment_limit(disc, coeffs, np.ones((7, 7), bool))
+    assert np.array_equal(coeffs, ref)
+
+
 def sign_magnitude_minmod3(a, b, c):
     """The minmod as signs, their agreement and the least magnitude: 13
     array passes."""

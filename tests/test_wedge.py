@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from machstem import mesh
+from machstem.basis import Basis
+from machstem.dg import Discretization
 from machstem.errors import ConfigError, MeasurementError
-from machstem.gas import primitives
+from machstem.gas import GasModel, conserved, primitives
+from machstem.overset import CompositeSampler
+from machstem.shock_relations import max_deflection, oblique_shock
 from machstem.wedge import (
     FlowCase,
     StemMeasurement,
@@ -15,6 +21,8 @@ from machstem.wedge import (
     top_profile,
     wedge_geometry,
 )
+
+GAS = GasModel()
 
 
 def test_case_free_stream_is_unit_sound_speed():
@@ -107,15 +115,24 @@ def test_measurement_invariants():
 
 
 class _SyntheticFront:
-    """Sampler with a density jump across a prescribed front x(y)."""
+    """Sampler with a jump across a prescribed front x(y): the Mach 3 free
+    stream ahead, and behind it density ``jump`` at Mach 0.5 below
+    ``subsonic_below`` and at Mach 1.8 above."""
 
-    def __init__(self, front, jump=3.0):
+    def __init__(self, front, jump=3.0, subsonic_below=0.0):
         self.front = front
         self.jump = jump
+        self.subsonic_below = subsonic_below
 
-    def density(self, pts):
+    def states(self, pts):
         x, y = pts[:, 0], pts[:, 1]
-        return np.where(x < self.front(y), 1.0, self.jump)
+        behind = x >= self.front(y)
+        rho = np.where(behind, self.jump, 1.0)
+        p = np.where(behind, 4.0, 1.0) / GAS.gamma
+        mach = np.where(behind, np.where(y < self.subsonic_below, 0.5, 1.8),
+                        3.0)
+        return conserved(rho, mach * np.sqrt(GAS.gamma * p / rho), 0.0, p,
+                         GAS)
 
 
 def _mr_front(y_tp, x_stem, angle_deg):
@@ -132,7 +149,7 @@ def _mr_front(y_tp, x_stem, angle_deg):
 def test_measure_stem_mr_height():
     case = FlowCase(mach=3.0, wedge_angle_deg=24.0)
     y_tp = 0.27
-    smp = _SyntheticFront(_mr_front(y_tp, 0.9, -40.0))
+    smp = _SyntheticFront(_mr_front(y_tp, 0.9, -40.0), subsonic_below=y_tp)
     m = measure_stem(smp, case, cell_size=0.01)
     assert m.classification == "MR"
     assert m.stem_height_ratio == pytest.approx(y_tp, abs=0.02)
@@ -151,7 +168,7 @@ def test_measure_stem_rr_single_oblique():
 def test_measure_stem_tiny_stem_counts_as_rr():
     # stems shorter than one cell are below measurement resolution
     case = FlowCase(mach=3.0, wedge_angle_deg=24.0)
-    smp = _SyntheticFront(_mr_front(0.015, 0.9, -40.0))
+    smp = _SyntheticFront(_mr_front(0.015, 0.9, -40.0), subsonic_below=0.015)
     m = measure_stem(smp, case, cell_size=0.05)
     assert m.classification == "RR"
 
@@ -162,6 +179,125 @@ def test_measure_stem_no_front_raises():
     with pytest.raises(MeasurementError) as err:
         measure_stem(smp, case, cell_size=0.01)
     assert isinstance(err.value.diagnostics, dict)
+
+
+def reflection(case, y_tp=0.0):
+    """The exact piecewise-constant reflection of the wedge's incident
+    shock: two-shock (RR) for ``y_tp`` = 0, otherwise three-shock (MR),
+    with a straight stem from the wall to the triple point at height
+    ``y_tp`` and a straight slipline behind it.
+
+    The reflected shock's deflection balances the pressures behind it
+    and behind the stem (strong branch) at equal flow directions. Returns
+    ``state(x, y, shift=0.0)``, (4, ...) conserved states, whose front
+    (the incident shock and the stem) lies ``shift`` further downstream.
+    """
+    gamma, m0 = case.gas.gamma, case.mach
+    tw = np.radians(case.wedge_angle_deg)
+    inc = oblique_shock(m0, tw)
+    t2 = tw
+    if y_tp > 0.0:
+        def imbalance(t):
+            return (inc.pressure_ratio * oblique_shock(inc.m2, t).pressure_ratio
+                    - oblique_shock(m0, tw - t, branch="strong").pressure_ratio)
+        t2 = brentq(imbalance, 1e-3, max_deflection(inc.m2)[0] - 1e-9)
+    ref = oblique_shock(inc.m2, t2)
+
+    def region(rho, p, mach, angle):
+        speed = mach * np.sqrt(gamma * p / rho)
+        return conserved(rho, speed * np.cos(angle), speed * np.sin(angle),
+                         p, case.gas)
+
+    p1 = inc.pressure_ratio / gamma
+    q = [case.free_stream(),
+         region(inc.density_ratio, p1, inc.m2, -tw),
+         region(inc.density_ratio * ref.density_ratio,
+                p1 * ref.pressure_ratio, ref.m2, t2 - tw)]
+    beta_s = 0.5 * np.pi
+    if y_tp > 0.0:
+        stem = oblique_shock(m0, tw - t2, branch="strong")
+        beta_s = stem.beta
+        q.append(region(stem.density_ratio, stem.pressure_ratio / gamma,
+                        stem.m2, t2 - tw))
+    q = np.stack(q, axis=1)
+    x_tp = wedge_geometry(case)["x_le"] + (1.0 - y_tp) / np.tan(inc.beta)
+
+    def state(x, y, shift=0.0):
+        front = np.where(y >= y_tp, x_tp - (y - y_tp) / np.tan(inc.beta),
+                         x_tp + (y_tp - y) / np.tan(beta_s))
+        k = np.where(y > y_tp + (x - x_tp) * np.tan(ref.beta - tw), 1, 2)
+        k = np.where((x > x_tp) & (y < y_tp + (x - x_tp) * np.tan(t2 - tw)),
+                     3, k)
+        return q[:, np.where(x < front + shift, 0, k)]
+
+    return state
+
+
+# (wedge angle, triple-point height): two RR below the von Neumann angle
+# (19.656 deg at M=3) and two MR above detachment (21.458 deg)
+REFLECTIONS = [(16.0, 0.0), (19.0, 0.0), (24.0, 0.27), (24.0, 0.12)]
+N_LINES, NX = 60, 600
+
+
+def _line_spacing(case):
+    return (0.85 * wedge_geometry(case)["y_te"] - 0.01) / (N_LINES - 1)
+
+
+@pytest.mark.parametrize("order, grid", [(1, (80, 40)), (2, (60, 30))])
+@pytest.mark.parametrize("angle, y_tp", REFLECTIONS)
+def test_measure_stem_on_projected_exact_reflections(order, grid, angle,
+                                                     y_tp):
+    case = FlowCase(mach=3.0, wedge_angle_deg=angle)
+    disc = Discretization(build_wedge_grid(case, *grid), Basis(order),
+                          case.gas)
+    state = reflection(case, y_tp)
+    coeffs = disc.project(lambda x, y: state(x, y))
+    cell = np.sqrt(np.median(disc.geo.element_area))
+    m = measure_stem(CompositeSampler([disc], [coeffs]), case,
+                     cell_size=cell, n_lines=N_LINES, nx=NX)
+    if y_tp == 0.0:
+        assert m.classification == "RR"
+        assert m.diagnostics["strip_min_mach"][0] > 1.0
+    else:
+        assert m.classification == "MR"
+        assert abs(m.stem_height_ratio - y_tp) <= _line_spacing(case) + cell
+
+
+class _JitteredFront:
+    """Samples an exact reflection one line per call, shifting its front
+    on the k-th line by ``shifts[k]``."""
+
+    def __init__(self, state, shifts):
+        self.state = state
+        self.shifts = iter(shifts)
+
+    def states(self, pts):
+        return self.state(pts[:, 0], pts[:, 1], next(self.shifts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(REFLECTIONS),
+       st.lists(st.floats(-1.5, 1.5), min_size=N_LINES, max_size=N_LINES))
+def test_front_jitter_does_not_change_the_answer(reflection_case, jitter):
+    """Shifting the front of each line by up to 1.5 cells, each line by
+    its own amount, keeps the classification, and the stem height to
+    within a line: only a line within 1.5 cells x tan(8.4 deg), the
+    slipline's slope, under the triple point can lose its subsonic strip
+    when its stem moves downstream past the slipline."""
+    angle, y_tp = reflection_case
+    case = FlowCase(mach=3.0, wedge_angle_deg=angle)
+    cell = 0.03                  # about an 80x40 grid's cell
+    state = reflection(case, y_tp)
+    kw = dict(cell_size=cell, n_lines=N_LINES, nx=NX)
+    exact = measure_stem(_JitteredFront(state, [0.0] * N_LINES), case, **kw)
+    m = measure_stem(_JitteredFront(state, cell * np.array(jitter)), case,
+                     **kw)
+    assert m.classification == exact.classification
+    if y_tp > 0.0:
+        assert exact.stem_height_ratio == pytest.approx(
+            y_tp, abs=_line_spacing(case))
+        assert abs(m.stem_height_ratio - exact.stem_height_ratio) <= \
+            _line_spacing(case) + 1e-12
 
 
 def _mr_measurement(ratio):
