@@ -6,10 +6,13 @@ Subcommands:
   sweep              dual-start angle sweep (impulsive and restart-chained)
   convergence-study  measured order on the advecting-vortex solution
 
-The math libraries run single-threaded, so repeated runs are bitwise
-identical: ``main`` pins OMP, OpenBLAS, MKL and numexpr to one thread
-before anything imports numpy (a variable already set in the
-environment is kept).  Importing this module loads no numpy.
+Repeated runs are bitwise identical. The math libraries run
+single-threaded: ``main`` pins OMP, OpenBLAS, MKL and numexpr to one
+thread before anything imports numpy (a variable already set in the
+environment is kept).  The solver's row blocks may run on several
+threads (``dg.dispatch``), but each writes only its own elements, so
+the bits do not depend on the thread count.  Importing this module
+loads no numpy.
 
 Exit codes: 0 success, 2 configuration error, 3 divergence, 4 front
 measurement failure, 5 overset assembly failure.

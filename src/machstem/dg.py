@@ -71,6 +71,26 @@ every face pair, plus one for the batch unless the block is fully
 periodic. The flux is pointwise, so the row ranges and the batch give
 the same face values as one call per pair and per side.
 
+The passes over row blocks and face row ranges run on every CPU the
+process may use (``WORKERS``, its affinity set): ``dispatch`` cuts a
+pass's tasks into ``WORKERS`` interleaved shares, runs the first on the
+calling thread and the others on a pool of ``WORKERS - 1`` threads,
+made on first use. Four passes go through it: the face fluxes (one task
+per row range of a face pair, one for the boundary batch), the volume
+terms of the residual after them (one per row block), the wave speed
+(one per row block), and the overset transfer (``OversetAssembly``; its
+two directions). Each task writes only its own elements or face slots
+and no sum crosses tasks, so the results are bit for bit the serial
+ones. The gate is the input's: a pass goes to the pool only when its
+block spans more than one row block (``Discretization.pooled``), as the
+per-call cost of the pool outweighs a few small tasks. Each share runs
+in a copy of the caller's context, which carries numpy's ``errstate``;
+a forked child drops the pool it inherits without its threads and makes
+its own; a dispatch made from a pool thread runs serially there, as
+waiting on the pool from inside it could deadlock. With one CPU there
+is no pool and every pass is the serial loop. Wall time falls; CPU time
+does not.
+
 Each ``Discretization`` owns one face-trace scratch (four (4, ni, nj,
 nq_1d) arrays) and one surface-flux array (4, ni, nj, 4 * nq_1d),
 allocated on first use and kept for the block's life, so a march does
@@ -81,6 +101,12 @@ outlive it. ``residual`` writes into the caller's array when given one.
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -100,6 +126,74 @@ def _row_ranges(n, height):
     """Consecutive ranges of at most ``height`` (at least 1) of n rows."""
     height = max(1, height)
     return [slice(a, min(a + height, n)) for a in range(0, n, height)]
+
+
+def _cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# the CPUs this process may run on: the caller and WORKERS - 1 pool
+# threads share a pass (module docstring)
+WORKERS = _cpus()
+_pool = None
+_pool_lock = threading.Lock()
+_local = threading.local()
+
+
+def _mark_worker():
+    _local.in_pool = True
+
+
+def _forget_pool():
+    # a forked child inherits the pool object but not its threads, and
+    # the lock in whatever state another thread held it
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_share(share):
+    for task in share:
+        task()
+
+
+def dispatch(tasks, pooled):
+    """Call every task, a callable of no argument; on the pool when
+    ``pooled``.
+
+    The tasks are cut into ``WORKERS`` interleaved shares; the caller
+    runs the first and the pool the others, each in a copy of the
+    caller's context, so its ``np.errstate`` holds there too. Every
+    share has finished when this returns or raises; the caller's error
+    comes first, then the workers' in share order. Serial with one CPU,
+    with fewer than two tasks, and when called from a pool thread.
+    """
+    global _pool
+    n = min(WORKERS, len(tasks))
+    if not pooled or n < 2 or getattr(_local, "in_pool", False):
+        _run_share(tasks)
+        return
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(WORKERS - 1, "machstem-dg",
+                                       initializer=_mark_worker)
+        pool = _pool
+    futures = [pool.submit(contextvars.copy_context().run, _run_share,
+                           tasks[k::n]) for k in range(1, n)]
+    try:
+        _run_share(tasks[::n])
+    finally:
+        errors = [f.exception() for f in futures]
+    for err in errors:
+        if err is not None:
+            raise err
 
 
 class Discretization:
@@ -220,8 +314,12 @@ class Discretization:
         # index of the element axes: a slice of rows, or the (i, j)
         # indices of the active elements of a partly active block
         height = BLOCK_NODES // (shape[1] * self.basis.vol_V.shape[0])
+        ranges = _row_ranges(shape[0], height)
+        # the gate of the pool (module docstring): whether the block
+        # spans more than one row block, whatever its mask
+        self.pooled = len(ranges) > 1
         blocks = []
-        for rows in _row_ranges(shape[0], height):
+        for rows in ranges:
             on = mask[rows]
             if on.all():
                 blocks.append((rows, slice(None)))
@@ -316,9 +414,13 @@ class Discretization:
         computed at the active elements only, a row block at a time,
         zero at the others."""
         out = np.zeros(self._active_mask.shape)
-        for sel in self.row_blocks:
+
+        def wave(sel):
             vals = self.evaluate(coeffs[(slice(None), *sel)])
             out[sel] = gasmod.max_wave_speed(vals, self.gas).max(axis=-1)
+
+        dispatch([partial(wave, sel) for sel in self.row_blocks],
+                 self.pooled)
         return out
 
     # ---- boundary ghosts ---------------------------------------------
@@ -368,14 +470,16 @@ class Discretization:
                                 len(FACES) * nf))
         S = self._S
         slot = {f: S[..., k * nf:(k + 1) * nf] for k, f in enumerate(FACES)}
-        for fa, sa, fb, sb, nx, ny, sj in self._pair_rows:
+
+        def pair(fa, sa, fb, sb, nx, ny, sj):
             fhat = self.flux(tr[fa][(v, *sa)], tr[fb][(v, *sb)], nx, ny, gas)
             fhat *= sj
             slot[fa][(v, *sa)] = fhat
             np.negative(fhat, out=slot[fb][(v, *sb)])
-        # every boundary side in one batch: gather, ghost, one flux call,
-        # scatter back into the slots
-        if self._bnd_sides:
+
+        def boundary():
+            # every boundary side in one batch: gather, ghost, one flux
+            # call, scatter back into the slots
             q_in = np.empty((4, self._bnd_sj.shape[1], nf))
             for face, sel, rows, _ in self._bnd_sides:
                 q_in[:, rows] = tr[face][(v, *sel)].reshape(4, -1, nf)
@@ -384,6 +488,11 @@ class Discretization:
             fhat *= self._bnd_sj
             for face, sel, rows, shape in self._bnd_sides:
                 slot[face][(v, *sel)] = fhat[:, rows].reshape(4, *shape, nf)
+
+        tasks = [partial(pair, *rows) for rows in self._pair_rows]
+        if self._bnd_sides:
+            tasks.append(boundary)
+        dispatch(tasks, self.pooled)
         return S
 
     def residual(self, coeffs, out=None):
@@ -394,8 +503,8 @@ class Discretization:
         if out is None:
             out = np.empty(coeffs.shape)
         out[(slice(None), *self._inactive)] = 0.0
-        for sel, (x_r, x_s, y_r, y_s) in zip(self.row_blocks,
-                                             self._row_metrics):
+
+        def volume(sel, x_r, x_s, y_r, y_s):
             at = (slice(None), *sel)
             # volume term from the contravariant velocities U, W (module
             # docstring)
@@ -416,4 +525,7 @@ class Discretization:
             # surface term, lifted by one matmul
             rhs += S[at] @ self._lift
             out[at] = self.inverse_mass(rhs, sel)
+
+        dispatch([partial(volume, sel, *metrics) for sel, metrics
+                  in zip(self.row_blocks, self._row_metrics)], self.pooled)
         return out

@@ -74,10 +74,11 @@ def write_vtk(path, disc, coeffs, gas, *, title="machstem field",
 
 
 def write_residual_csv(path, history):
-    """History rows (iteration, residual, max wave speed, dt) as CSV."""
-    lines = ["iteration,residual,max_wave_speed,dt"]
-    for it, res, ws, dt in history:
-        lines.append(f"{int(it)},{res:.10e},{ws:.10e},{dt:.10e}")
+    """History rows (iteration, residual, max wave speed, dt, physical
+    time) as CSV."""
+    lines = ["iteration,residual,max_wave_speed,dt,time"]
+    for it, res, ws, dt, t in history:
+        lines.append(f"{int(it)},{res:.10e},{ws:.10e},{dt:.10e},{t:.10e}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

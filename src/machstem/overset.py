@@ -29,10 +29,13 @@ walk, so points are located robustly even on stretched sheared grids.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .basis import FACE_W, FACE_E, FACE_S, FACE_N
+from .dg import dispatch
 from .errors import AssemblyError
 from .mesh import TAG_INTERFACE
 
@@ -411,9 +414,13 @@ class OversetAssembly:
                                 label="overset fringe")
 
     def transfer(self, coeffs_list):
+        """Both directions, as two tasks of ``dg.dispatch`` when either
+        block spans more than one row block: each reads active donors
+        only and writes its own receiver's fringe."""
         bg_c, ov_c = coeffs_list
-        self.to_bg(ov_c, bg_c)
-        self.to_ov(bg_c, ov_c)
+        dispatch([partial(self.to_bg, ov_c, bg_c),
+                  partial(self.to_ov, bg_c, ov_c)],
+                 self.bg.pooled or self.ov.pooled)
 
     def counts(self):
         out = {}

@@ -732,7 +732,9 @@ def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
               "coarse_iterations": coarse.march.iterations,
               "fine_iterations": fine.march.iterations,
               "coarse_residual": coarse.march.residual,
-              "fine_residual": fine.march.residual}
+              "fine_residual": fine.march.residual,
+              "coarse_time": coarse.march.time,
+              "fine_time": fine.march.time}
     (run_dir / "result.json").write_text(json.dumps(result, indent=2) + "\n")
     manifest.record(run_dir / "result.json")
     manifest.finish()

@@ -119,7 +119,14 @@ class MarchResult:
         self.outcome = outcome          # converged | max_iterations | diverged
         self.iterations = iterations
         self.residual = residual
-        self.history = history          # rows (iter, residual, wavespeed, dt)
+        # rows (iter, residual, wavespeed, dt, physical time t after the
+        # iteration)
+        self.history = history
+
+    @property
+    def time(self):
+        """Physical time t at the end of the march."""
+        return self.history[-1][4] if self.history else 0.0
 
     def __repr__(self):
         return (f"MarchResult({self.outcome!r}, iterations={self.iterations}, "
@@ -149,6 +156,7 @@ def march_to_steady(system, coeffs_list, *, cfl=0.3, max_iterations=1000,
     best = np.inf
     best_it = 0
     it = 0
+    t = 0.0
     for it in range(1, max_iterations + 1):
         cfl_now = cfl
         if cfl_ramp_iters > 0:
@@ -188,7 +196,8 @@ def march_to_steady(system, coeffs_list, *, cfl=0.3, max_iterations=1000,
                 c += r                      # 1/3 c + 2/3 (u2 + dt k2)
             system.apply_hooks(coeffs_list)
 
-        history.append((it, resid, wave, dt))
+        t += dt
+        history.append((it, resid, wave, dt, t))
         if log_every and (it % log_every == 0 or it == 1) and on_log:
             on_log(it, resid, wave, dt)
         if not np.isfinite(resid):

@@ -1,3 +1,11 @@
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -603,3 +611,221 @@ def test_guard_proves_admissible_cells_without_nodes_or_means(
     with np.errstate(invalid="ignore"):
         assert positivity_guard(disc, coeffs) > 0
     assert calls["nodes"] > 1 and calls["means"] == 1
+
+
+# ---- the pool ---------------------------------------------------------
+
+POOL_THREAD = "machstem-dg"
+
+
+def use_pool(monkeypatch):
+    """Let ``dg.dispatch`` use the pool, with at least one thread."""
+    monkeypatch.setattr(dg, "WORKERS", max(dg.WORKERS, 2))
+
+
+def no_pool(monkeypatch):
+    """Take the pool away: every pass runs on the calling thread."""
+    monkeypatch.setattr(dg, "WORKERS", 1)
+
+
+def thread_recording_flux(name, threads):
+    base = get_flux(name)
+
+    def flux(qL, qR, nx, ny, gas):
+        threads.append(threading.current_thread().name)
+        return base(qL, qR, nx, ny, gas)
+    return flux
+
+
+def pool_wedge_disc(flux):
+    """The 200x100 P1 coarse wedge block: 12 row blocks."""
+    return Discretization(build_wedge_grid(WEDGE_CASE, 200, 100), Basis(1),
+                          GAS, flux=flux, bc_state=WEDGE_CASE.free_stream())
+
+
+def pool_box_disc(flux):
+    """The 32x32 P4 periodic box: 3 row blocks, and wrap pairs."""
+    disc = periodic_vortex_disc(32, 4)
+    disc.flux = flux
+    return disc
+
+
+@pytest.mark.parametrize("make", [pool_wedge_disc, pool_box_disc])
+def test_pool_matches_serial(monkeypatch, make):
+    """The residual and the wave speed on the pool are bit for bit those
+    of the serial loops, and part of the work ran on a pool thread."""
+    threads, waves = [], []
+    disc = make(thread_recording_flux("slau2", threads))
+    assert disc.pooled and len(disc.row_blocks) >= 3
+    coeffs = (random_admissible_state(disc, seed=13) if disc.basis.order == 1
+              else disc.project(vortex_ic(GAS)))
+    wave_speed = dg.gasmod.max_wave_speed
+
+    def recording_wave_speed(q, gas):
+        waves.append(threading.current_thread().name)
+        return wave_speed(q, gas)
+
+    monkeypatch.setattr(dg.gasmod, "max_wave_speed", recording_wave_speed)
+    use_pool(monkeypatch)
+    got = disc.residual(coeffs).copy(), disc.max_wave_speed(coeffs)
+    assert any(t.startswith(POOL_THREAD) for t in threads)
+    assert any(t.startswith(POOL_THREAD) for t in waves)
+    no_pool(monkeypatch)
+    threads.clear()
+    want = disc.residual(coeffs), disc.max_wave_speed(coeffs)
+    assert not any(t.startswith(POOL_THREAD) for t in threads)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_more_shares_than_cores_match_serial(monkeypatch):
+    """Six shares on a fresh pool of five threads, switching threads
+    every 10 us: every task runs once and writes only its own slots, so
+    repeated residuals and wave speeds keep the serial bits."""
+    disc = pool_wedge_disc("slau2")
+    coeffs = random_admissible_state(disc, seed=5)
+    no_pool(monkeypatch)
+    want = disc.residual(coeffs).copy(), disc.max_wave_speed(coeffs)
+    monkeypatch.setattr(dg, "WORKERS", 6)
+    monkeypatch.setattr(dg, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            assert np.array_equal(disc.residual(coeffs), want[0])
+            assert np.array_equal(disc.max_wave_speed(coeffs), want[1])
+    finally:
+        sys.setswitchinterval(interval)
+        dg._pool.shutdown()
+
+
+def test_small_block_stays_on_the_calling_thread(monkeypatch):
+    """The gate: a block of one row block dispatches nothing."""
+    threads = []
+    disc = Discretization(wavy_block(8, 6), Basis(2), GAS,
+                          flux=thread_recording_flux("lax_friedrichs",
+                                                     threads))
+    assert not disc.pooled
+    use_pool(monkeypatch)
+    disc.residual(random_admissible_state(disc, seed=1))
+    assert threads and not any(t.startswith(POOL_THREAD) for t in threads)
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    no_pool(monkeypatch)
+    monkeypatch.setattr(dg, "_pool", None)
+    before = threading.active_count()
+    disc = pool_wedge_disc("lax_friedrichs")
+    disc.residual(random_admissible_state(disc, seed=2))
+    assert dg._pool is None and threading.active_count() == before
+
+
+def test_pool_threads_keep_the_callers_errstate(monkeypatch):
+    """An inadmissible element in a row block that a pool thread computes
+    (negative density: its sound speed is NaN) warns nowhere under the
+    caller's ``np.errstate``; pytest turns a RuntimeWarning into an
+    error, so a pool thread with numpy's default state would raise."""
+    use_pool(monkeypatch)
+    disc = pool_wedge_disc("lax_friedrichs")
+    coeffs = disc.project_constant(WEDGE_CASE.free_stream())
+    # row block 1 is the first task of the pool's first share
+    i = disc.row_blocks[1][0].start + 2
+    coeffs[0, i, 5, disc.basis.mode_const] = -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            rhs = disc.residual(coeffs)
+            lam = disc.max_wave_speed(coeffs)
+    assert np.isnan(rhs[:, i, 5]).all() and np.isnan(lam[i, 5])
+    assert np.isfinite(rhs[:, :i - 1]).all() and np.isfinite(lam[:i - 1]).all()
+
+
+def test_dispatch_from_a_pool_thread_runs_there(monkeypatch):
+    """No nesting: the tasks of a dispatch made by a pool thread all run
+    on that thread (waiting on the pool from inside it could deadlock)."""
+    use_pool(monkeypatch)
+    seen = []
+
+    def inner(task):
+        seen.append((task[0], threading.current_thread().name))
+
+    def outer(task):
+        dg.dispatch([partial(inner, (task, k)) for k in range(4)], True)
+
+    caller = threading.Thread(
+        target=dg.dispatch, args=([partial(outer, 0), partial(outer, 1)],
+                                  True), daemon=True)
+    caller.start()
+    caller.join(timeout=30.0)
+    assert not caller.is_alive(), "a nested dispatch deadlocked"
+    names = {name for task, name in seen if task == 1}
+    assert len(seen) == 8 and len(names) == 1
+    assert names.pop().startswith(POOL_THREAD)
+
+
+@pytest.mark.parametrize("bad_task", [0, 1])
+def test_a_raising_task_surfaces_after_every_share_ends(monkeypatch,
+                                                        bad_task):
+    """A flux that raises on one row range, in the caller's share (task
+    0) or in the pool's (task 1): the caller gets that exception, and no
+    flux call is still running or yet to come when it does."""
+    monkeypatch.setattr(dg, "WORKERS", 2)
+    state = {"running": 0, "done": 0}
+    lock = threading.Lock()
+    bad = []
+
+    def flux(qL, qR, nx, ny, gas):
+        with lock:
+            state["running"] += 1
+        try:
+            if nx is bad[0]:
+                raise FloatingPointError("bad row range")
+            time.sleep(0.01)
+            return get_flux("lax_friedrichs")(qL, qR, nx, ny, gas)
+        finally:
+            with lock:
+                state["running"] -= 1
+                state["done"] += 1
+
+    disc = pool_wedge_disc(flux)
+    bad.append(disc._pair_rows[bad_task][4])
+    coeffs = random_admissible_state(disc, seed=3)
+    with pytest.raises(FloatingPointError, match="bad row range"):
+        disc.residual(coeffs)
+    done = state["done"]
+    # the bad task is the first of its share, which stops there; the
+    # other share (tasks 1, 3, ... or 0, 2, ...) ran to its end
+    tasks = len(disc._pair_rows) + 1
+    assert done == len(range(1 - bad_task, tasks, 2)) + 1
+    assert state["running"] == 0
+    time.sleep(0.05)
+    assert state["done"] == done
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_on_a_pool_of_its_own(monkeypatch):
+    """A child forked after the pool started does not inherit its
+    threads: it builds its own pool, gets the parent's bits and exits."""
+    use_pool(monkeypatch)
+    disc = pool_wedge_disc("lax_friedrichs")
+    coeffs = random_admissible_state(disc, seed=4)
+    want = disc.residual(coeffs).copy()
+    assert dg._pool is not None
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(disc.residual(coeffs), want) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung")
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0

@@ -49,10 +49,12 @@ def test_write_vtk_structure(tmp_path, small_disc):
 
 def test_residual_csv(tmp_path):
     path = tmp_path / "resid.csv"
-    io.write_residual_csv(path, [(0, 1.0, 4.0, 1e-3), (1, 0.5, 4.0, 1e-3)])
+    io.write_residual_csv(path, [(0, 1.0, 4.0, 1e-3, 1e-3),
+                                 (1, 0.5, 4.0, 1e-3, 2e-3)])
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,residual,max_wave_speed,dt"
+    assert lines[0] == "iteration,residual,max_wave_speed,dt,time"
     assert lines[1].startswith("0,1.0000000000e+00")
+    assert lines[2].endswith(",2.0000000000e-03")
     assert len(lines) == 3
 
 

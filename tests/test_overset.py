@@ -1,10 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 
+from machstem import dg
 from machstem.basis import Basis, FACE_W, FACE_E, FACE_S, FACE_N
 from machstem.dg import Discretization
 from machstem.errors import AssemblyError
-from machstem.gas import GasModel, free_stream
+from machstem.gas import GasModel, conserved, free_stream
 from machstem.mesh import GridBlock, TAG_INTERFACE, TAG_INFLOW, TAG_OUTFLOW
 from machstem.overset import (PointLocator, _newton_rs, points_in_footprint,
                               covered_elements, erosion_depth,
@@ -409,3 +412,50 @@ def test_assembly_requires_interface_tags():
     with pytest.raises(AssemblyError, match="interface"):
         OversetAssembly(Discretization(bg, Basis(1), GAS),
                         Discretization(ov, Basis(1), GAS))
+
+
+def test_pool_matches_serial_on_a_partly_active_assembly(monkeypatch):
+    """On an assembly whose P4 background spans three row blocks and has
+    holes, the transfer, the residuals and the wave speeds on the pool
+    are bit for bit the serial ones, and the two transfer directions ran
+    on two threads."""
+    q = free_stream(3.0, GAS)
+    bg = cartesian_block(40, 30, 0.0, 1.5, 0.0, 1.0,
+                         tags={FACE_W: TAG_INFLOW})
+    ov = sheared_block(24, 18, 0.4, 1.1, 0.25, 0.75, shear=0.12,
+                       tags=interface_tags())
+    bgd = Discretization(bg, Basis(4), GAS, flux="lax_friedrichs",
+                         bc_state=q)
+    ovd = Discretization(ov, Basis(4), GAS, flux="slau2", bc_state=q)
+    asm = OversetAssembly(bgd, ovd)
+    assert bgd.pooled and len(bgd.row_blocks) == 3 and not ovd.pooled
+    assert asm.counts()["background"]["hole"] > 0
+
+    def smooth(x, y):
+        wave = np.sin(4.0 * x) * np.cos(5.0 * y)
+        return conserved(1.0 + 0.3 * wave, 1.2 - 0.4 * wave, 0.3 * wave,
+                         0.7 + 0.2 * wave, GAS)
+
+    start = [bgd.project(smooth), ovd.project(smooth)]
+    threads = {}
+    for name in ("to_bg", "to_ov"):
+        def recording(donor, receiver, name=name, op=getattr(asm, name)):
+            threads[name] = threading.current_thread().name
+            op(donor, receiver)
+        monkeypatch.setattr(asm, name, recording)
+
+    def run(workers):
+        monkeypatch.setattr(dg, "WORKERS", workers)
+        coeffs = [c.copy() for c in start]
+        asm.transfer(coeffs)
+        return (coeffs + [d.residual(c).copy() for d, c in zip((bgd, ovd),
+                                                               coeffs)]
+                + [d.max_wave_speed(c) for d, c in zip((bgd, ovd), coeffs)])
+
+    got = run(max(dg.WORKERS, 2))
+    assert threads["to_bg"] != threads["to_ov"]
+    want = run(1)
+    assert threads["to_bg"] == threads["to_ov"]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert not np.array_equal(got[0], start[0])

@@ -246,6 +246,7 @@ def test_pipeline_smoke_rr_then_restart(tmp_path, monkeypatch):
     result = json.loads((first.run_dir / "result.json").read_text())
     assert result["invariants"]["overset_limiter_activations"] == \
         inv["overset_limiter_activations"]
+    assert 0.0 < result["coarse_time"] and 0.0 < result["fine_time"]
 
     loads = []
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -169,6 +170,9 @@ def test_cfl_ramp_grows_step_size():
                           cfl_ramp_iters=8, cfl_start=0.1)
     dts = [row[3] for row in res.history]
     assert dts[0] < dts[-1]
+    # every row carries the physical time reached, the running sum of dt
+    assert [row[4] for row in res.history] == list(accumulate(dts))
+    assert res.time == res.history[-1][4]
     assert np.isclose(dts[-1] / dts[0], 0.4 / (0.1 + (0.4 - 0.1) / 8.0),
                       rtol=1e-10)
 
@@ -228,6 +232,7 @@ def out_of_place_march(system, coeffs_list, *, cfl=0.3,
     best = np.inf
     best_it = 0
     it = 0
+    t = 0.0
     for it in range(1, max_iterations + 1):
         cfl_now = cfl
         if cfl_ramp_iters > 0:
@@ -254,7 +259,8 @@ def out_of_place_march(system, coeffs_list, *, cfl=0.3,
             system.apply_hooks(coeffs_list)
             resid = system.density_residual(k0)
 
-        history.append((it, resid, wave, dt))
+        t += dt
+        history.append((it, resid, wave, dt, t))
         if not np.isfinite(resid):
             return MarchResult("diverged", it, resid, history)
         if resid0 is None:
