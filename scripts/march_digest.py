@@ -3,10 +3,12 @@
 Runs one operation of each of ``benchmarks/workloads.py``'s
 coarse-march, fine-march and vortex-p4 workloads and hashes the final
 coefficients of every march it makes, and the history of every
-``march_to_steady``; then one smoke-rr operation, hashing the arrays of
-its checkpoint. Prints one line per workload, smoke-rr's classification
-and stem height, one digest of all four, and the number of threads
-besides the main one that the run left (the pool's, ``dg.dispatch``):
+``march_to_steady``; then one smoke-rr operation, hashing the
+coefficient arrays (``coeffs_*.npy``) of its checkpoint only, so that
+what else the checkpoint stores does not enter the digest. Prints one
+line per workload, smoke-rr's classification and stem height, one
+digest of all four, and the number of threads besides the main one that
+the run left (the pool's, ``dg.dispatch``):
 
     python3 scripts/march_digest.py --seed 540
 
@@ -85,7 +87,7 @@ def main(seed):
         ans = work.operation()
         digest = hashlib.sha256()
         for path in sorted((work.run_dir / pipeline.CHECKPOINT_DIR)
-                           .glob("*.npy")):
+                           .glob("coeffs_*.npy")):
             digest.update(path.name.encode())
             feed(digest, np.load(path))
         meas = json.loads((work.run_dir / "result.json").read_text())[

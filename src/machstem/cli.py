@@ -61,8 +61,6 @@ def build_parser():
             p.add_argument("--coarse-grid", metavar="NIxNJ")
             p.add_argument("--fine-background-grid", metavar="NIxNJ")
             p.add_argument("--overset-grid", metavar="NIxNJ")
-            p.add_argument("--overset-grid-file",
-                           help="use this patch grid instead of building one")
         else:
             p.add_argument("--angles", help="comma list of wedge angles, deg")
             p.add_argument("--no-chain", action="store_true",
@@ -118,7 +116,6 @@ def _cmd_pipeline(args):
         ("case.coarse_grid", args.coarse_grid),
         ("case.fine_background_grid", args.fine_background_grid),
         ("case.overset_grid", args.overset_grid),
-        ("overset.grid_file", args.overset_grid_file),
         ("output.out_dir", args.out_dir),
     ])
     cfg = parse_config(args.config, overrides)

@@ -69,13 +69,7 @@ SCHEMA = {
     "solver.overset_flux": _Key(str, "slau2", None, "flux name"),
     "solver.log_every": _Key(int, 200, lambda v: v >= 0, ">= 0"),
     # stabilization
-    "stabilization.indicator_variables": _Key(_str_list, ("density",),
-                                              lambda v: len(v) > 0,
-                                              "comma list"),
     "stabilization.threshold": _Key(float, 1.0, lambda v: v > 0.0, "> 0"),
-    # settled-map recompute: the coarse shock smears downstream, so the
-    # placement scan flags at a lower bar than the in-march limiter
-    "stabilization.flag_threshold": _Key(float, 0.3, lambda v: v > 0.0, "> 0"),
     "stabilization.tvb_m": _Key(float, 0.0, lambda v: v >= 0.0, ">= 0"),
     # overset assembly
     "overset.hole_margin": _Key(int, 2, lambda v: v >= 1, ">= 1"),
@@ -84,7 +78,6 @@ SCHEMA = {
     "overset.band_below": _Key(float, 0.25, lambda v: v > 0.0, "> 0"),
     "overset.band_above": _Key(float, 0.12, lambda v: v > 0.0, "> 0"),
     "overset.margin_cells": _Key(int, 3, lambda v: v >= 0, ">= 0"),
-    "overset.grid_file": _Key(str, "", None, "path or empty"),
     # shock measurement
     "measurement.n_lines": _Key(int, 120, lambda v: v >= 16, ">= 16"),
     "measurement.nx": _Key(int, 1200, lambda v: v >= 64, ">= 64"),

@@ -203,8 +203,6 @@ class Discretization:
         self.basis = basis
         self.gas = gas
         self.flux = get_flux(flux) if isinstance(flux, str) else flux
-        self.flux_name = (flux if isinstance(flux, str)
-                          else getattr(flux, "__name__", "custom"))
         self.geo = block.geometry(basis)
         self.bc_state = None if bc_state is None else np.asarray(bc_state, float)
         self.active_mask = np.ones((block.ni, block.nj), bool)

@@ -23,9 +23,6 @@ face. It builds that relation once from its tags, as face pairs
 ``face_a`` the E or N face -- and tagged boundary sides ``(face, sel)``.
 Every ``sel`` is a tuple of slices over the element indices ``(i, j)``,
 and every element face lies in exactly one pair or one boundary side.
-
-Grid file format (plain text): first line ``nvi nvj`` (vertex counts),
-then ``nvi*nvj`` lines of ``x y`` in row-major order (i outer, j inner).
 """
 
 from __future__ import annotations
@@ -143,28 +140,6 @@ class GridBlock:
             cached = _BlockGeometry(self, basis)
             self._geometry_cache[key] = cached
         return cached
-
-    def write(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"{self.ni + 1} {self.nj + 1}\n")
-            for i in range(self.ni + 1):
-                for j in range(self.nj + 1):
-                    x, y = self.vertices[i, j]
-                    fh.write(f"{float(x)!r} {float(y)!r}\n")
-
-    @classmethod
-    def read(cls, path, name=None, tags=None):
-        with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise ValueError(f"bad grid header in {path}")
-            nvi, nvj = int(header[0]), int(header[1])
-            data = np.loadtxt(fh)
-        if data.shape != (nvi * nvj, 2):
-            raise ValueError(
-                f"grid {path}: expected {nvi * nvj} vertex rows, got {data.shape}")
-        verts = data.reshape(nvi, nvj, 2)
-        return cls(verts, name=name or "imported", tags=tags)
 
     def __repr__(self):
         return f"GridBlock({self.name!r}, {self.ni}x{self.nj})"

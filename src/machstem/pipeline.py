@@ -28,13 +28,17 @@ from .errors import (AssemblyError, ConfigError, DivergenceError,
 from .overset import (CompositeSampler, OversetAssembly, points_in_footprint,
                       project_between)
 from .stabilization import Stabilizer, kxrcf_indicator, make_limiter_hook
-from .timestepping import (System, load_checkpoint, march_to_steady,
-                           save_checkpoint)
-from .wedge import (FlowCase, StemMeasurement, build_wedge_grid, measure_stem,
+from .timestepping import System, march_to_steady
+from .wedge import (StemMeasurement, build_wedge_grid, measure_stem,
                     top_profile, wedge_geometry)
 
 CHECKPOINT_DIR = "checkpoint"
-OVERSET_GRID_FILE = "overset.grid"
+# the troubled-cell indicator reads density alone
+INDICATOR_VARIABLES = (0,)
+# settled-map recompute: the coarse shock smears downstream, so the
+# placement scan flags at a lower bar than the in-march limiter
+# (``stabilization.threshold``)
+FLAG_THRESHOLD = 0.3
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +267,7 @@ def run_coarse(case, cfg, *, seed_coeffs=None, on_log=None):
     """
     disc = _coarse_disc(case, cfg)
     stab = Stabilizer(mode="always",
-                      variables=_indicator_vars(cfg),
+                      variables=INDICATOR_VARIABLES,
                       threshold=cfg["stabilization.threshold"],
                       tvb_m=cfg["stabilization.tvb_m"], positivity=True)
     system = System([disc], limiter=make_limiter_hook([disc], [stab]))
@@ -277,27 +281,13 @@ def run_coarse(case, cfg, *, seed_coeffs=None, on_log=None):
         raise DivergenceError(
             f"coarse stage diverged after {march.iterations} iterations "
             f"(residual {march.residual:.3e})")
-    # refresh the flag map on the settled solution; the placement scan
-    # flags at a lower bar than the limiter so the smeared downstream
-    # leg of the shock still registers
-    ind, flagged = kxrcf_indicator(disc, coeffs, _indicator_vars(cfg),
-                                   cfg["stabilization.flag_threshold"])
+    # refresh the flag map on the settled solution, at FLAG_THRESHOLD
+    ind, flagged = kxrcf_indicator(disc, coeffs, INDICATOR_VARIABLES,
+                                   FLAG_THRESHOLD)
     cell = math.sqrt(float(np.median(disc.geo.element_area)))
     segments = fit_shock_paths(disc.block.element_centroids()[flagged], cell,
                                case=case)
     return CoarseResult(disc, coeffs, march, ind, flagged, segments, cell)
-
-
-def _indicator_vars(cfg):
-    names = {"density": 0, "momentum_x": 1, "momentum_y": 2, "energy": 3}
-    try:
-        return tuple(names[v] for v in
-                     cfg["stabilization.indicator_variables"])
-    except KeyError as exc:
-        raise ConfigError(
-            f"config key 'stabilization.indicator_variables' names an "
-            f"unknown variable {exc.args[0]!r} (choose from "
-            f"{sorted(names)})")
 
 
 # ---------------------------------------------------------------------------
@@ -473,66 +463,62 @@ def _fine_discs(case, cfg, ov_block):
     return discs
 
 
-def save_fine_checkpoint(path, case, discs, coeffs):
-    """Checkpoint with enough sidecar data to rebuild the grids."""
+def save_checkpoint(path, discs, coeffs):
+    """Write each block's vertices and coefficients as bit-exact float64
+    ``vertices_<name>.npy`` and ``coeffs_<name>.npy``, and a
+    ``checkpoint.json`` naming the blocks, in order, and the polynomial
+    order."""
     path = Path(path)
-    names = [d.block.name for d in discs]
-    meta = {"case": artifacts.case_to_params(case),
-            "order": discs[0].basis.order}
-    save_checkpoint(str(path), coeffs, names, meta)
-    for d in discs:
-        if d.block.name == "overset":
-            d.block.write(path / OVERSET_GRID_FILE)
-
-
-def load_fine_checkpoint(path, gas):
-    """Rebuild the checkpointed discretizations and coefficients."""
-    path = Path(path)
-    try:
-        coeffs, meta = load_checkpoint(str(path))
-    except (OSError, ValueError, KeyError) as exc:
-        raise ConfigError(f"restart checkpoint {path} is unusable: {exc}")
-    params = dict(meta["case"])
-    for k in ("coarse_grid", "fine_background_grid", "overset_grid"):
-        params[k] = tuple(params[k])
-    src_case = FlowCase(gas=gas, **params)
-    basis = Basis(meta["order"])
-    discs = []
-    for entry in meta["blocks"]:
-        if entry["name"] == "overset":
-            block = mesh.GridBlock.read(path / OVERSET_GRID_FILE,
-                                        name="overset")
-        else:
-            block = build_wedge_grid(src_case,
-                                     *src_case.fine_background_grid)
-        d = Discretization(block, basis, gas, bc_state=src_case.free_stream())
-        discs.append(d)
+    path.mkdir(parents=True, exist_ok=True)
     for d, c in zip(discs, coeffs):
-        if c.shape != (4, d.block.ni, d.block.nj, basis.n_modes):
-            raise ConfigError(
-                f"restart checkpoint {path} block {d.block.name!r} has "
-                f"shape {c.shape}, incompatible with its grid")
+        for kind, a in (("vertices", d.block.vertices), ("coeffs", c)):
+            np.save(path / f"{kind}_{d.block.name}.npy",
+                    np.ascontiguousarray(a, dtype=np.float64))
+    doc = {"order": discs[0].basis.order,
+           "blocks": [d.block.name for d in discs]}
+    (path / "checkpoint.json").write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def load_checkpoint(path, gas):
+    """Rebuild the checkpointed blocks on the vertices their coefficients
+    were computed on; returns ``(discs, coeffs)``.  A directory that
+    cannot be read, or whose coefficients do not fit a block's grid,
+    raises ``ConfigError`` naming it."""
+    path = Path(path)
+    discs, coeffs = [], []
+    try:
+        doc = json.loads((path / "checkpoint.json").read_text())
+        basis = Basis(doc["order"])
+        if not all(isinstance(name, str) for name in doc["blocks"]):
+            raise ValueError("its blocks are not listed by name (the "
+                             "layout without vertices)")
+        for name in doc["blocks"]:
+            block = mesh.GridBlock(np.load(path / f"vertices_{name}.npy"),
+                                   name)
+            c = np.load(path / f"coeffs_{name}.npy")
+            if c.shape != (4, block.ni, block.nj, basis.n_modes):
+                raise ValueError(f"block {name!r} has shape {c.shape}, "
+                                 "incompatible with its grid")
+            discs.append(Discretization(block, basis, gas))
+            coeffs.append(c)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"restart checkpoint {path} is unusable: {exc}")
     return discs, coeffs
 
 
 def run_fine(case, cfg, coarse, seed, *, on_log=None):
     """High-order two-grid solve with capturing confined to the patch.
 
-    Builds the aligned patch from the coarse flag map (or reads it from
-    ``overset.grid_file``), L2-projects ``seed`` -- a ``CompositeSampler``
-    over the coarse solution, or over a restart checkpoint -- onto the
+    Builds the aligned patch from the coarse flag map, L2-projects
+    ``seed`` -- a ``CompositeSampler`` over the coarse solution, or over
+    the blocks of a restart checkpoint on their own vertices -- onto the
     background and the patch, and marches both.  Every stage the patch
     gets the indicator-gated limiter and both blocks the positivity
     guard; the background is never limited.  With no flagged cell there
     is no patch: the background marches alone and nothing is measured.
     """
     flag_pts = coarse.disc.block.element_centroids()[coarse.flagged]
-    grid_file = cfg["overset.grid_file"]
-    if grid_file:
-        ov_block = mesh.GridBlock.read(grid_file, name="overset")
-        ov_block = finish_patch(ov_block.vertices, case, name="overset")
-    else:
-        ov_block = build_aligned_grid(case, cfg, flag_pts, coarse.segments)
+    ov_block = build_aligned_grid(case, cfg, flag_pts, coarse.segments)
     discs = _fine_discs(case, cfg, ov_block)
 
     # the background gets the admissibility guard only, never a limiter
@@ -551,7 +537,7 @@ def run_fine(case, cfg, coarse, seed, *, on_log=None):
             fringe_width=cfg["overset.fringe_width"],
             ov_fringe_rings=cfg["overset.fringe_rings"])
         stabs.append(Stabilizer(mode="indicator",
-                                variables=_indicator_vars(cfg),
+                                variables=INDICATOR_VARIABLES,
                                 threshold=cfg["stabilization.threshold"],
                                 tvb_m=cfg["stabilization.tvb_m"],
                                 positivity=True))
@@ -570,7 +556,7 @@ def run_fine(case, cfg, coarse, seed, *, on_log=None):
     if assembly is not None:
         invariants["overset_guard_activations"] = stabs[1].guard_activations
         invariants["overset_limiter_activations"] = stabs[1].limited_cells
-    _check_background_clean(discs[0], coeffs[0], _indicator_vars(cfg),
+    _check_background_clean(discs[0], coeffs[0], INDICATOR_VARIABLES,
                             cfg["stabilization.threshold"])
 
     cell = math.sqrt(float(np.median(discs[-1].geo.element_area)))
@@ -641,8 +627,10 @@ def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
     a directory holding a checksum-clean manifest is trusted and reused
     unless `reuse` is False.  An impulsive start seeds the fine stage
     from the coarse solution.  A restart (``case.init=restart:<dir>``)
-    reads the checkpoint once and seeds both stages from it, the refined
-    patch taking priority where the checkpointed blocks overlap.
+    reads the checkpoint once, its blocks on the vertices stored with
+    their coefficients, and seeds both stages from it, the refined patch
+    taking priority where the checkpointed blocks overlap.  The fine
+    stage's blocks are checkpointed the same way (``save_checkpoint``).
     """
     case = case_from_config(cfg)
     if run_dir is None:
@@ -668,7 +656,7 @@ def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
 
     seed, seed_coeffs = None, None
     if case.restart_path is not None:
-        discs, coeffs = load_fine_checkpoint(case.restart_path, case.gas)
+        discs, coeffs = load_checkpoint(case.restart_path, case.gas)
         # the refined patch is the preferred donor where the blocks overlap
         seed = CompositeSampler(discs[::-1], coeffs[::-1])
         seed_coeffs = project_between(seed, _coarse_disc(case, cfg))
@@ -708,8 +696,7 @@ def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
                                 title=f"fine stage {d.block.name}")
             manifest.record(run_dir / name)
 
-    save_fine_checkpoint(run_dir / CHECKPOINT_DIR, case, fine.discs,
-                         fine.coeffs)
+    save_checkpoint(run_dir / CHECKPOINT_DIR, fine.discs, fine.coeffs)
     for p in sorted((run_dir / CHECKPOINT_DIR).iterdir()):
         manifest.record(p)
 

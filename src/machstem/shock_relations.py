@@ -142,14 +142,6 @@ class ObliqueShock:
     pressure_ratio: float
     density_ratio: float
 
-    @property
-    def beta_deg(self):
-        return float(np.degrees(self.beta))
-
-    @property
-    def theta_deg(self):
-        return float(np.degrees(self.theta))
-
 
 def oblique_shock(m1, theta, gamma=1.4, branch="weak"):
     """Solve the theta-beta-M relation and package the jump state."""

@@ -23,15 +23,9 @@ in-place update keeps the operation order of the out-of-place formulas
 results are bit for bit those of the formulas. A per-element dt that
 broadcasts against the coefficients would go through the same in-place
 stages.
-
-Checkpoints are written as raw float64 ``.npy`` arrays, one per block,
-with a JSON sidecar; reloading reproduces the coefficients bit for bit.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 import numpy as np
 
@@ -247,29 +241,3 @@ def advance_time(system, coeffs_list, t_final, *, cfl=0.3):
         t += dt
     return t
 
-
-def save_checkpoint(path, coeffs_list, block_names, meta=None):
-    """Write coefficients (bit-exact float64) plus a JSON sidecar."""
-    os.makedirs(path, exist_ok=True)
-    for name, c in zip(block_names, coeffs_list):
-        np.save(os.path.join(path, f"coeffs_{name}.npy"),
-                np.ascontiguousarray(c, dtype=np.float64))
-    side = {"blocks": [{"name": n, "shape": list(c.shape)}
-                       for n, c in zip(block_names, coeffs_list)]}
-    side.update(meta or {})
-    with open(os.path.join(path, "checkpoint.json"), "w") as fh:
-        json.dump(side, fh, indent=1)
-
-
-def load_checkpoint(path):
-    """Read a checkpoint directory back; returns (coeffs_list, meta)."""
-    with open(os.path.join(path, "checkpoint.json")) as fh:
-        meta = json.load(fh)
-    coeffs = [np.load(os.path.join(path, f"coeffs_{b['name']}.npy"))
-              for b in meta["blocks"]]
-    for b, c in zip(meta["blocks"], coeffs):
-        if list(c.shape) != b["shape"]:
-            raise ValueError(
-                f"checkpoint block {b['name']!r}: shape {list(c.shape)} "
-                f"does not match sidecar {b['shape']}")
-    return coeffs, meta

@@ -11,7 +11,6 @@ def test_defaults_complete():
     assert cfg["solver.fine_order"] == 4
     assert cfg["solver.background_flux"] == "lax_friedrichs"
     assert cfg["solver.overset_flux"] == "slau2"
-    assert cfg["stabilization.indicator_variables"] == ("density",)
     assert cfg["overset.fringe_width"] == 2
 
 

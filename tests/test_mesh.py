@@ -128,22 +128,6 @@ def test_tags_scalar_and_mixed():
     assert np.all(blk.tags[FACE_E] == TAG_OUTFLOW)  # default
 
 
-def test_grid_file_roundtrip(tmp_path):
-    blk = wavy_block(3, 5)
-    path = tmp_path / "grid.txt"
-    blk.write(path)
-    back = GridBlock.read(path)
-    assert back.ni == 3 and back.nj == 5
-    assert np.array_equal(back.vertices, blk.vertices)
-
-
-def test_grid_file_bad_count(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2 2\n0 0\n1 0\n0 1\n")
-    with pytest.raises(ValueError, match="expected 4"):
-        GridBlock.read(path)
-
-
 @pytest.mark.parametrize("nx, ny, tags", [
     (4, 3, {}),
     (4, 2, {FACE_W: TAG_INFLOW, FACE_S: TAG_WALL,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,18 +8,19 @@ from machstem import mesh, pipeline
 from machstem.basis import Basis
 from machstem.config import parse_config
 from machstem.dg import Discretization
-from machstem.errors import AssemblyError
-from machstem.gas import conserved
+from machstem.errors import AssemblyError, ConfigError
+from machstem.gas import GasModel, conserved
 from machstem.io import verify_manifest
 from machstem.pipeline import (
     ShockSegment,
     build_aligned_grid,
     finish_patch,
     fit_shock_paths,
+    load_checkpoint,
     run_key,
     run_pipeline,
+    save_checkpoint,
 )
-from machstem.timestepping import load_checkpoint
 from machstem.wedge import (FlowCase, StemMeasurement, top_profile,
                             wedge_geometry)
 
@@ -236,6 +238,14 @@ SMOKE = {
 
 
 def test_pipeline_smoke_rr_then_restart(tmp_path, monkeypatch):
+    fines = []
+    run_fine = pipeline.run_fine
+
+    def recording_fine(*args, **kwargs):
+        fines.append(run_fine(*args, **kwargs))
+        return fines[-1]
+
+    monkeypatch.setattr(pipeline, "run_fine", recording_fine)
     first = run_pipeline(parse_config(None, overrides=SMOKE),
                          run_dir=tmp_path / "impulsive", reuse=False)
     assert first.measurement["classification"] == "RR"
@@ -250,9 +260,9 @@ def test_pipeline_smoke_rr_then_restart(tmp_path, monkeypatch):
 
     loads = []
 
-    def counting_load(path):
-        loads.append(path)
-        return load_checkpoint(path)
+    def counting_load(path, gas):
+        loads.append(load_checkpoint(path, gas))
+        return loads[-1]
 
     monkeypatch.setattr(pipeline, "load_checkpoint", counting_load)
     # the restart starts from a settled state, so a short march will do
@@ -264,6 +274,11 @@ def test_pipeline_smoke_rr_then_restart(tmp_path, monkeypatch):
     assert again.measurement["classification"] == "RR"
     assert verify_manifest(again.run_dir)[1] == []
     assert len(loads) == 1
+    # the restart samples the first run's patch on its own vertices
+    loaded_discs = loads[0][0]
+    assert [d.block.name for d in loaded_discs] == ["background", "overset"]
+    assert np.array_equal(loaded_discs[1].block.vertices,
+                          fines[0].discs[1].block.vertices)
 
 
 def test_sweep_runner_measurement_from_summary(tmp_path, monkeypatch):
@@ -291,4 +306,59 @@ def test_pipeline_without_shock_marches_background_alone(tmp_path):
     assert summary.fine_outcome == "converged"
     assert verify_manifest(tmp_path)[1] == []
     assert sorted(p.name for p in summary.checkpoint.iterdir()) == \
-        ["checkpoint.json", "coeffs_background.npy"]
+        ["checkpoint.json", "coeffs_background.npy",
+         "vertices_background.npy"]
+
+
+def _checkpoint_blocks(order=2):
+    """Two named blocks on jittered vertices, with random coefficients."""
+    rng = np.random.default_rng(11)
+    discs, coeffs = [], []
+    for name, (ni, nj) in (("background", (3, 5)), ("overset", (2, 2))):
+        x, y = np.meshgrid(np.arange(ni + 1.0), np.arange(nj + 1.0),
+                           indexing="ij")
+        verts = np.stack([x, y], axis=-1) + rng.uniform(-0.1, 0.1,
+                                                        (ni + 1, nj + 1, 2))
+        basis = Basis(order)
+        discs.append(Discretization(mesh.GridBlock(verts, name), basis,
+                                    GasModel()))
+        coeffs.append(rng.standard_normal((4, ni, nj, basis.n_modes)))
+    return discs, coeffs
+
+
+def test_checkpoint_roundtrip_bit_exact(tmp_path):
+    discs, coeffs = _checkpoint_blocks()
+    save_checkpoint(tmp_path / "ck", discs, coeffs)
+    back, back_coeffs = load_checkpoint(tmp_path / "ck", GasModel())
+    assert [d.block.name for d in back] == ["background", "overset"]
+    for d, c, b, bc in zip(discs, coeffs, back, back_coeffs):
+        assert b.basis.order == 2
+        assert np.array_equal(b.block.vertices, d.block.vertices)
+        assert bc.dtype == np.float64 and np.array_equal(bc, c)
+
+
+@pytest.mark.parametrize("damage, reason", [
+    ("old_format", "not listed by name"),
+    ("no_vertices", "vertices_overset.npy"),
+    ("no_sidecar", "checkpoint.json")])
+def test_unusable_checkpoint_rejected(tmp_path, damage, reason):
+    path = tmp_path / "ck"
+    discs, coeffs = _checkpoint_blocks()
+    save_checkpoint(path, discs, coeffs)
+    if damage == "old_format":
+        # coefficients beside a sidecar of shapes and case parameters,
+        # the patch's vertices in a text grid file
+        for p in path.glob("vertices_*.npy"):
+            p.unlink()
+        (path / "overset.grid").write_text("3 3\n")
+        (path / "checkpoint.json").write_text(json.dumps(
+            {"blocks": [{"name": d.block.name, "shape": list(c.shape)}
+                        for d, c in zip(discs, coeffs)],
+             "case": {"mach": 3.0}, "order": 2}))
+    elif damage == "no_vertices":
+        (path / "vertices_overset.npy").unlink()
+    else:
+        (path / "checkpoint.json").unlink()
+    unusable = re.escape(f"checkpoint {path} is unusable: ")
+    with pytest.raises(ConfigError, match=unusable + ".*" + reason):
+        load_checkpoint(path, GasModel())
