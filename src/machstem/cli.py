@@ -158,11 +158,11 @@ def _cmd_sweep(args):
     if not cfg["sweep.angles_deg"]:
         raise ConfigError("no sweep angles given: set --angles or config "
                           "key 'sweep.angles_deg'")
-    angles = [float(a) for a in cfg["sweep.angles_deg"]]
     log = None if args.quiet else print
     runner = make_sweep_runner(cfg, reuse=not args.fresh, on_log=log)
     rows = hysteresis_sweep(
-        runner, angles, restart_seed=cfg["sweep.restart_seed"] or None,
+        runner, cfg["sweep.angles_deg"],
+        restart_seed=cfg["sweep.restart_seed"] or None,
         chain=bool(cfg["sweep.chain"]))
     text = sweep_table_csv(rows)
     Path(args.out).write_text(text)

@@ -21,8 +21,8 @@ def _grid(text):
         raise ValueError("expected NIxNJ, e.g. 200x100")
 
 
-def _str_list(text):
-    return tuple(s.strip() for s in str(text).split(",") if s.strip())
+def _float_list(text):
+    return tuple(float(s) for s in str(text).split(",") if s.strip())
 
 
 @dataclass
@@ -82,7 +82,8 @@ SCHEMA = {
     "measurement.n_lines": _Key(int, 120, lambda v: v >= 16, ">= 16"),
     "measurement.nx": _Key(int, 1200, lambda v: v >= 64, ">= 64"),
     # sweep
-    "sweep.angles_deg": _Key(_str_list, (), None, "comma list of degrees"),
+    "sweep.angles_deg": _Key(_float_list, (), None,
+                             "comma list of degrees"),
     "sweep.chain": _Key(int, 1, lambda v: v in (0, 1), "0 or 1"),
     "sweep.restart_seed": _Key(str, "", None, "checkpoint dir or empty"),
     # output

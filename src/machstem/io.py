@@ -113,9 +113,8 @@ def write_classification_csv(path, assembly):
 
 
 def write_shock_paths_json(path, segments):
-    """Fitted shock-path segments with labels and endpoints as JSON."""
-    doc = [{"label": s.label,
-            "start": [float(s.start[0]), float(s.start[1])],
+    """Fitted shock-path segments with their endpoints as JSON."""
+    doc = [{"start": [float(s.start[0]), float(s.start[1])],
             "end": [float(s.end[0]), float(s.end[1])],
             "angle_deg": float(s.angle_deg),
             "n_points": int(s.n_points),

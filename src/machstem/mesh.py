@@ -222,11 +222,3 @@ class _BlockGeometry:
         g_r = np.sqrt(x_r ** 2 + y_r ** 2)
         g_s = np.sqrt(x_s ** 2 + y_s ** 2)
         self.h_dt = 2.0 * np.min(detJ / np.maximum(g_r, g_s), axis=2)
-
-        # physical face quadrature points, needed for boundary data
-        self.face_points = {}
-        x1 = basis.q1d_nodes
-        ones = np.ones_like(x1)
-        for face, (fr, fs) in {FACE_W: (-ones, x1), FACE_E: (ones, x1),
-                               FACE_S: (x1, -ones), FACE_N: (x1, ones)}.items():
-            self.face_points[face] = block.map_points(fr, fs)

@@ -2,10 +2,11 @@
 
 Stage one marches a low-order solution on the background channel grid
 until the shock system stops moving; the troubled-cell indicator then
-marks exactly the cells the shocks cross.  Stage two fits straight-line
-paths through those cells, builds a refined overset patch whose grid
-lines follow the shock band, and re-converges at high order with the
-shock-capturing machinery confined to the patch.  The orchestrator
+marks exactly the cells the shocks cross.  Stage two builds a refined
+overset patch around those cells, its grid lines following the flagged
+band, and re-converges at high order with the shock-capturing machinery
+confined to the patch.  Straight-line shock paths fitted to the flagged
+cells are a diagnostic only (``shock_paths.json``).  The orchestrator
 wraps both stages with artifact writing, a checksummed manifest, and a
 config-keyed run cache.
 """
@@ -65,27 +66,14 @@ def tls_line(pts):
 class ShockSegment:
     """One straight piece of the shock system fitted to flagged cells."""
 
-    label: str
     start: tuple          # leftmost endpoint (x, y)
     end: tuple
     angle_deg: float      # from the +x axis, in (-90, 90]
     n_points: int
     rms: float
-    point: tuple          # TLS line: point + t * direction
-    direction: tuple
-
-    def intersect(self, other):
-        mat = np.array([self.direction, [-other.direction[0],
-                                         -other.direction[1]]]).T
-        rhs = np.array(other.point) - np.array(self.point)
-        if abs(np.linalg.det(mat)) < 1e-12:
-            return None
-        t = np.linalg.solve(mat, rhs)
-        p = np.array(self.point) + t[0] * np.array(self.direction)
-        return (float(p[0]), float(p[1]))
 
 
-def _segment_from_inliers(pts, label=""):
+def _segment_from_inliers(pts):
     ctr, direction, rms = tls_line(pts)
     t = (pts - ctr) @ direction
     lo, hi = ctr + t.min() * direction, ctr + t.max() * direction
@@ -96,10 +84,8 @@ def _segment_from_inliers(pts, label=""):
         ang -= 180.0
     elif ang <= -90.0:
         ang += 180.0
-    return ShockSegment(label, (float(lo[0]), float(lo[1])),
-                        (float(hi[0]), float(hi[1])), ang, len(pts), rms,
-                        (float(ctr[0]), float(ctr[1])),
-                        (float(direction[0]), float(direction[1])))
+    return ShockSegment((float(lo[0]), float(lo[1])),
+                        (float(hi[0]), float(hi[1])), ang, len(pts), rms)
 
 
 def _longest_run(pts, origin, direction, mask, gap):
@@ -124,17 +110,16 @@ def _longest_run(pts, origin, direction, mask, gap):
 
 
 def fit_shock_paths(points, cell_size, *, max_segments=4, min_points=6,
-                    inlier_tol=2.5, gap_cells=5.0, seed=0, case=None):
+                    inlier_tol=2.5, gap_cells=5.0, seed=0):
     """Extract straight shock paths from flagged-cell centroids.
 
     Runs a deterministic (fixed-seed) sequential line search: repeatedly
     find the line with the most centroids within ``inlier_tol`` cell
     sizes in one contiguous run (gaps beyond ``gap_cells`` cells split a
     candidate), refine it by total least squares, claim its inliers, and
-    continue until the remaining cells support no further line.  With a
-    flow case given, segments are labeled by slope and position
-    (incident / reflected / stem / slipline), otherwise "front".
-    Returns [] for an empty flag map.
+    continue until the remaining cells support no further line.  A
+    diagnostic: nothing downstream reads the segments.  Returns [] for an
+    empty flag map.
     """
     pts = np.asarray(points, float).reshape(-1, 2)
     if len(pts) == 0:
@@ -192,37 +177,7 @@ def fit_shock_paths(points, cell_size, *, max_segments=4, min_points=6,
 
     segments = [_segment_from_inliers(c) for c in claims]
     segments.sort(key=lambda s: -s.n_points)
-    _label_segments(segments, case, cell_size)
     return segments
-
-
-def _label_segments(segments, case, cell_size):
-    if case is None:
-        for s in segments:
-            s.label = s.label or "front"
-        return
-    geom = wedge_geometry(case)
-    incident = None
-    for s in segments:
-        from_vertical = 90.0 - abs(s.angle_deg)
-        low_y = min(s.start[1], s.end[1])
-        if from_vertical <= 15.0 and low_y <= 4.0 * cell_size:
-            s.label = "stem"
-        elif s.angle_deg < -5.0:
-            # descending left-to-right; the one rooted nearest the wedge
-            # leading edge is the incident shock
-            d_le = math.hypot(s.start[0] - geom["x_le"], s.start[1] - 1.0)
-            if incident is None or d_le < incident[0]:
-                if incident is not None:
-                    incident[1].label = "front"
-                incident = (d_le, s)
-                s.label = "incident"
-            else:
-                s.label = "front"
-        elif s.angle_deg > 5.0:
-            s.label = "reflected"
-        else:
-            s.label = "slipline"
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +191,28 @@ class CoarseResult:
     march: object
     indicator: object
     flagged: object
-    segments: list
-    cell_size: float
+    segments: list        # fitted shock paths, a diagnostic
 
 
-def _march_config(cfg, stage):
-    return dict(cfl=cfg["solver.cfl"],
-                cfl_start=cfg["solver.cfl_start"],
-                cfl_ramp_iters=cfg["solver.cfl_ramp_iters"],
-                tol=cfg[f"solver.{stage}_tol"],
-                max_iterations=cfg[f"solver.{stage}_max_iterations"],
-                stall_window=cfg["solver.stall_window"],
-                log_every=cfg["solver.log_every"])
+def _march_stage(cfg, stage, discs, stabs, coeffs, *, transfer=None,
+                 on_log=None):
+    """March ``coeffs`` in place with each block's stabilizer as the
+    limiter hook; raises ``DivergenceError`` if the march diverges."""
+    system = System(discs, transfer=transfer,
+                    limiter=make_limiter_hook(discs, stabs))
+    march = march_to_steady(
+        system, coeffs, on_log=on_log, cfl=cfg["solver.cfl"],
+        cfl_start=cfg["solver.cfl_start"],
+        cfl_ramp_iters=cfg["solver.cfl_ramp_iters"],
+        tol=cfg[f"solver.{stage}_tol"],
+        max_iterations=cfg[f"solver.{stage}_max_iterations"],
+        stall_window=cfg["solver.stall_window"],
+        log_every=cfg["solver.log_every"])
+    if march.outcome == "diverged":
+        raise DivergenceError(
+            f"{stage} stage diverged after {march.iterations} iterations "
+            f"(residual {march.residual:.3e})")
+    return march
 
 
 def _coarse_disc(case, cfg):
@@ -262,32 +227,27 @@ def run_coarse(case, cfg, *, seed_coeffs=None, on_log=None):
 
     Marches with the slope limiter active in every element (the stage
     only has to survive the impulsive start and park the shock system);
-    the flag map is then recomputed on the settled solution and the
-    fitted paths feed the aligned-patch construction.
+    the flag map is then recomputed on the settled solution.  Its
+    centroids place the aligned patch; the shock paths fitted to them
+    are kept as a diagnostic.
     """
     disc = _coarse_disc(case, cfg)
     stab = Stabilizer(mode="always",
                       variables=INDICATOR_VARIABLES,
                       threshold=cfg["stabilization.threshold"],
                       tvb_m=cfg["stabilization.tvb_m"], positivity=True)
-    system = System([disc], limiter=make_limiter_hook([disc], [stab]))
     if seed_coeffs is None:
         coeffs = disc.project_constant(case.free_stream())
     else:
         coeffs = seed_coeffs
-    march = march_to_steady(system, [coeffs], on_log=on_log,
-                            **_march_config(cfg, "coarse"))
-    if march.outcome == "diverged":
-        raise DivergenceError(
-            f"coarse stage diverged after {march.iterations} iterations "
-            f"(residual {march.residual:.3e})")
+    march = _march_stage(cfg, "coarse", [disc], [stab], [coeffs],
+                         on_log=on_log)
     # refresh the flag map on the settled solution, at FLAG_THRESHOLD
     ind, flagged = kxrcf_indicator(disc, coeffs, INDICATOR_VARIABLES,
                                    FLAG_THRESHOLD)
     cell = math.sqrt(float(np.median(disc.geo.element_area)))
-    segments = fit_shock_paths(disc.block.element_centroids()[flagged], cell,
-                               case=case)
-    return CoarseResult(disc, coeffs, march, ind, flagged, segments, cell)
+    segments = fit_shock_paths(disc.block.element_centroids()[flagged], cell)
+    return CoarseResult(disc, coeffs, march, ind, flagged, segments)
 
 
 # ---------------------------------------------------------------------------
@@ -305,40 +265,34 @@ def _insert_kinks(stations, case):
     return np.maximum.accumulate(x)
 
 
-def build_aligned_grid(case, cfg, flag_points, segments=None):
+def build_aligned_grid(case, cfg, flag_points):
     """Refined patch following the shock band, fitted to the flag map.
 
-    The patch's cross-stream grid lines are x = const stations. Its
-    lengthwise family follows the band's midline, the binned and
-    smoothed middle height of the flagged centroids at each station, not
-    any shock path: the incident shock of the 24 deg case, at about 43 deg
-    to the wall, crosses both families obliquely.  The upper and lower edges offset the
-    midline far enough to enclose every flagged cell plus a margin,
-    clipped to the channel walls.  Past the flagged band
-    the patch widens to the full channel section and runs to the exit:
-    the reflected shock and the slip layers keep going downstream of
-    where the locating grid can still flag them, and every discontinuity
-    has to leave through a physical boundary of the patch, never through
-    an interface into the (unlimited) background.  Raises if a fitted
-    segment leaves the flow domain.
+    The flagged centroids are the only input.  The patch's cross-stream
+    grid lines are x = const stations.  Its lengthwise family follows the
+    band's midline, the binned and smoothed middle height of the flagged
+    centroids at each station: the incident shock of the 24 deg case, at
+    about 43 deg to the wall, crosses both families obliquely.  The upper
+    and lower edges offset the midline far enough to enclose every
+    flagged cell plus a margin, clipped to the channel walls.  Past the
+    flagged band the patch widens to the full channel section and runs to
+    the exit: the reflected shock and the slip layers keep going
+    downstream of where the locating grid can still flag them, and every
+    discontinuity has to leave through a physical boundary of the patch,
+    never through an interface into the (unlimited) background.
+
+    The sides are tagged from that clipping: south is wall where it lies
+    on the floor, north is wall where it lies on the top profile (outflow
+    behind the trailing edge), west is inflow when it starts at the
+    inlet, and east, at the exit, is outflow; the rest are interfaces.
+    Returns None for an empty flag map.
     """
     pts = np.asarray(flag_points, float).reshape(-1, 2)
     if len(pts) == 0:
         return None
-    geom = wedge_geometry(case)
     ni, nj = case.overset_grid
     h = math.sqrt((case.length / case.coarse_grid[0]) *
                   (1.0 / case.coarse_grid[1]))
-    # endpoints come from centroid projections, which may overhang a
-    # boundary by a fraction of a cell; only a clear excursion is a
-    # fitting failure
-    for s in segments or []:
-        for p in (s.start, s.end):
-            if not (-h <= p[0] <= case.length + h and
-                    -h <= p[1] <= 1.0 + h):
-                raise AssemblyError(
-                    f"fitted shock path segment '{s.label}' leaves the flow "
-                    f"domain at ({p[0]:.3f}, {p[1]:.3f})")
     margin = cfg["overset.margin_cells"] * h
     xa = max(0.0, pts[:, 0].min() - margin)
     xf = min(case.length, pts[:, 0].max() + margin)   # flagged band east end
@@ -380,41 +334,23 @@ def build_aligned_grid(case, cfg, flag_points, segments=None):
     verts = np.empty((ni + 1, nj + 1, 2))
     verts[:, :, 0] = stations[:, None]
     verts[:, :, 1] = lower[:, None] + eta[None, :] * (upper - lower)[:, None]
-    return finish_patch(verts, case, name="overset")
 
-
-def finish_patch(verts, case, name="overset"):
-    """Tag a patch's boundary faces: wall/inflow/outflow where they lie on
-    the channel boundary, interface elsewhere."""
-    geom = wedge_geometry(case)
-    ni, nj = verts.shape[0] - 1, verts.shape[1] - 1
+    # the kinks are stations, so the top profile is straight between
+    # them and a face whose ends lie on a boundary lies on it whole
     tol = 1e-8
-
-    def on_bottom(p):
-        return abs(p[1]) <= tol
-
-    def on_top(p):
-        return abs(p[1] - float(top_profile(case, p[0]))) <= tol
-
-    tags = {}
-    south = np.full(ni, mesh.TAG_INTERFACE)
-    north = np.full(ni, mesh.TAG_INTERFACE)
-    for i in range(ni):
-        a, b = verts[i, 0], verts[i + 1, 0]
-        if on_bottom(a) and on_bottom(b) and on_bottom(0.5 * (a + b)):
-            south[i] = mesh.TAG_WALL
-        a, b = verts[i, nj], verts[i + 1, nj]
-        m = 0.5 * (a + b)
-        if on_top(a) and on_top(b) and on_top(m):
-            north[i] = (mesh.TAG_WALL if m[0] < geom["x_te"] - tol
-                        else mesh.TAG_OUTFLOW)
-    tags[mesh.FACE_S], tags[mesh.FACE_N] = south, north
-    tags[mesh.FACE_W] = (mesh.TAG_INFLOW if abs(verts[0, 0, 0]) <= tol
-                         else mesh.TAG_INTERFACE)
-    tags[mesh.FACE_E] = (mesh.TAG_OUTFLOW
-                         if abs(verts[ni, 0, 0] - case.length) <= tol
-                         else mesh.TAG_INTERFACE)
-    return mesh.GridBlock(verts, name=name, tags=tags)
+    on_floor = lower <= tol
+    on_top = np.abs(upper - y_top) <= tol
+    ahead = (0.5 * (stations[:-1] + stations[1:])
+             < wedge_geometry(case)["x_te"] - tol)
+    south = np.where(on_floor[:-1] & on_floor[1:], mesh.TAG_WALL,
+                     mesh.TAG_INTERFACE)
+    north = np.where(on_top[:-1] & on_top[1:],
+                     np.where(ahead, mesh.TAG_WALL, mesh.TAG_OUTFLOW),
+                     mesh.TAG_INTERFACE)
+    tags = {mesh.FACE_S: south, mesh.FACE_N: north,
+            mesh.FACE_W: mesh.TAG_INFLOW if xa <= tol else mesh.TAG_INTERFACE,
+            mesh.FACE_E: mesh.TAG_OUTFLOW}
+    return mesh.GridBlock(verts, name="overset", tags=tags)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +365,7 @@ class FineResult:
     march: object
     measurement: object
     invariants: dict
-    cell_size: float
+    sampler: object       # CompositeSampler over the blocks, patch first
 
 
 def _check_background_clean(disc, coeffs, variables, threshold):
@@ -506,19 +442,19 @@ def load_checkpoint(path, gas):
     return discs, coeffs
 
 
-def run_fine(case, cfg, coarse, seed, *, on_log=None):
+def run_fine(case, cfg, flag_pts, seed, *, on_log=None):
     """High-order two-grid solve with capturing confined to the patch.
 
-    Builds the aligned patch from the coarse flag map, L2-projects
-    ``seed`` -- a ``CompositeSampler`` over the coarse solution, or over
-    the blocks of a restart checkpoint on their own vertices -- onto the
-    background and the patch, and marches both.  Every stage the patch
-    gets the indicator-gated limiter and both blocks the positivity
-    guard; the background is never limited.  With no flagged cell there
-    is no patch: the background marches alone and nothing is measured.
+    Builds the aligned patch around ``flag_pts``, the flagged cells'
+    centroids, which must all lie inside it.  L2-projects ``seed`` -- a
+    ``CompositeSampler`` over the coarse solution, or over the blocks of
+    a restart checkpoint on their own vertices -- onto the background and
+    the patch, and marches both.  Every stage the patch gets the
+    indicator-gated limiter and both blocks the positivity guard; the
+    background is never limited.  With no flagged cell there is no patch:
+    the background marches alone and nothing is measured.
     """
-    flag_pts = coarse.disc.block.element_centroids()[coarse.flagged]
-    ov_block = build_aligned_grid(case, cfg, flag_pts, coarse.segments)
+    ov_block = build_aligned_grid(case, cfg, flag_pts)
     discs = _fine_discs(case, cfg, ov_block)
 
     # the background gets the admissibility guard only, never a limiter
@@ -542,16 +478,10 @@ def run_fine(case, cfg, coarse, seed, *, on_log=None):
                                 tvb_m=cfg["stabilization.tvb_m"],
                                 positivity=True))
 
-    system = System(discs,
-                    transfer=None if assembly is None else assembly.transfer,
-                    limiter=make_limiter_hook(discs, stabs))
     coeffs = [project_between(seed, d) for d in discs]
-    march = march_to_steady(system, coeffs, on_log=on_log,
-                            **_march_config(cfg, "fine"))
-    if march.outcome == "diverged":
-        raise DivergenceError(
-            f"fine stage diverged after {march.iterations} iterations "
-            f"(residual {march.residual:.3e})")
+    march = _march_stage(
+        cfg, "fine", discs, stabs, coeffs, on_log=on_log,
+        transfer=None if assembly is None else assembly.transfer)
     invariants = {"background_guard_activations": stabs[0].guard_activations}
     if assembly is not None:
         invariants["overset_guard_activations"] = stabs[1].guard_activations
@@ -559,15 +489,15 @@ def run_fine(case, cfg, coarse, seed, *, on_log=None):
     _check_background_clean(discs[0], coeffs[0], INDICATOR_VARIABLES,
                             cfg["stabilization.threshold"])
 
-    cell = math.sqrt(float(np.median(discs[-1].geo.element_area)))
+    sampler = CompositeSampler(discs[::-1], coeffs[::-1])
     measurement = None
     if assembly is not None:
         measurement = measure_stem(
-            CompositeSampler(discs[::-1], coeffs[::-1]), case,
-            cell_size=cell, n_lines=cfg["measurement.n_lines"],
-            nx=cfg["measurement.nx"])
+            sampler, case,
+            cell_size=math.sqrt(float(np.median(discs[-1].geo.element_area))),
+            n_lines=cfg["measurement.n_lines"], nx=cfg["measurement.nx"])
     return FineResult(discs, coeffs, assembly, march, measurement,
-                      invariants, cell)
+                      invariants, sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +611,9 @@ def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
 
     if seed is None:
         seed = CompositeSampler([coarse.disc], [coarse.coeffs])
-    fine = run_fine(case, cfg, coarse, seed, on_log=log_stage("fine"))
+    fine = run_fine(case, cfg,
+                    coarse.disc.block.element_centroids()[coarse.flagged],
+                    seed, on_log=log_stage("fine"))
     artifacts.write_residual_csv(run_dir / "fine_residual.csv",
                                  fine.march.history)
     manifest.record(run_dir / "fine_residual.csv")
@@ -700,15 +632,13 @@ def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
     for p in sorted((run_dir / CHECKPOINT_DIR).iterdir()):
         manifest.record(p)
 
-    sampler = CompositeSampler([d for d in reversed(fine.discs)],
-                               [c for c in reversed(fine.coeffs)])
     geom = wedge_geometry(case)
     artifacts.write_field_slice_dat(
-        run_dir / "wall_slice.dat", sampler, case.gas,
+        run_dir / "wall_slice.dat", fine.sampler, case.gas,
         y=0.02, x_range=(0.0, case.length))
     manifest.record(run_dir / "wall_slice.dat")
     artifacts.write_field_slice_dat(
-        run_dir / "mid_slice.dat", sampler, case.gas,
+        run_dir / "mid_slice.dat", fine.sampler, case.gas,
         y=0.5 * geom["y_te"], x_range=(0.0, case.length))
     manifest.record(run_dir / "mid_slice.dat")
 

@@ -196,8 +196,3 @@ def von_neumann_angle(m0, gamma=1.4):
 
     hi = detachment_angle(m0, gamma) - 1e-9
     return _bisect(imbalance, 1e-8, hi)
-
-
-def dual_solution_domain(m0, gamma=1.4):
-    """(theta_vn, theta_detach): the hysteresis interval bounds."""
-    return von_neumann_angle(m0, gamma), detachment_angle(m0, gamma)

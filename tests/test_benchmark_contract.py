@@ -8,7 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+# the workloads import their sibling ``checks`` by name, as run.py does
+sys.path.insert(0, str(BENCH))
+
+import workloads  # noqa: E402
 
 
 def _load_tracing():
@@ -44,3 +50,12 @@ def test_tracer_wraps_every_layer_and_restores_it():
         assert layers() == before
     # the tracer replaced every one of them
     assert all(a != b for a, b in zip(during, before))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_operation_passes_its_check(name, tmp_path):
+    """One operation of each benchmark workload, as the benchmark runs
+    it (seed 540), gives an answer its own check accepts."""
+    work = workloads.WORKLOADS[name](540, tmp_path)
+    assert work.check(work.operation()) == []

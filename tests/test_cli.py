@@ -69,6 +69,12 @@ def test_bad_config_key_exit_code(capsys):
     assert "machh" in capsys.readouterr().err
 
 
+def test_bad_sweep_angle_exit_code(capsys):
+    rc = main(["sweep", "--angles", "24,abc"])
+    assert rc == 2
+    assert "sweep.angles_deg" in capsys.readouterr().err
+
+
 def test_malformed_set_reports_error(capsys):
     rc = main(["pipeline", "--set", "case.mach:3"])
     assert rc == 2

@@ -122,12 +122,10 @@ def test_manifest_missing_output(tmp_path):
 
 def test_shock_paths_json(tmp_path):
     from machstem.pipeline import ShockSegment
-    seg = ShockSegment(label="incident", start=(0.5, 0.9), end=(1.0, 0.2),
-                       angle_deg=-54.5, n_points=40, rms=0.002,
-                       point=np.array([0.75, 0.55]),
-                       direction=np.array([0.58, -0.81]))
+    seg = ShockSegment(start=(0.5, 0.9), end=(1.0, 0.2), angle_deg=-54.5,
+                       n_points=40, rms=0.002)
     path = tmp_path / "paths.json"
     io.write_shock_paths_json(path, [seg])
     doc = json.loads(path.read_text())
-    assert doc[0]["label"] == "incident"
-    assert doc[0]["n_points"] == 40
+    assert doc == [{"start": [0.5, 0.9], "end": [1.0, 0.2],
+                    "angle_deg": -54.5, "n_points": 40, "rms": 0.002}]

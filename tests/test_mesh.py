@@ -26,6 +26,15 @@ def wavy_block(nx, ny, amp=0.08):
     return GridBlock(verts, name="wavy")
 
 
+def face_points(blk, basis):
+    """Physical quadrature points of every face, (ni, nj, nq, 2) each."""
+    x1 = basis.q1d_nodes
+    ones = np.ones_like(x1)
+    return {face: blk.map_points(fr, fs) for face, (fr, fs) in {
+        FACE_W: (-ones, x1), FACE_E: (ones, x1),
+        FACE_S: (x1, -ones), FACE_N: (x1, ones)}.items()}
+
+
 def test_cartesian_geometry():
     nx, ny = 4, 3
     blk = cartesian_block(nx, ny, x1=2.0, y1=1.5)
@@ -59,12 +68,13 @@ def test_outward_normals_cartesian():
 def test_normals_unit_length_and_outward_curvilinear():
     blk = wavy_block(5, 4)
     geo = blk.geometry(Basis(3))
+    pts = face_points(blk, Basis(3))
     cent = blk.element_centroids()
     for face in (FACE_W, FACE_E, FACE_S, FACE_N):
         n = geo.face_normal[face]
         assert np.allclose(np.hypot(n[..., 0], n[..., 1]), 1.0)
         # outward: normal points away from the centroid through the face mid
-        mids = geo.face_points[face].mean(axis=2)
+        mids = pts[face].mean(axis=2)
         d = mids - cent
         assert np.all(np.einsum("ijk,ijk->ij", d, n) > 0.0)
 
@@ -74,15 +84,16 @@ def test_watertight_shared_faces():
     identical physical quadrature points, in matching order."""
     blk = wavy_block(4, 4)
     geo = blk.geometry(Basis(2))
-    pe = geo.face_points[FACE_E][:-1, :]
-    pw = geo.face_points[FACE_W][1:, :]
+    pts = face_points(blk, Basis(2))
+    pe = pts[FACE_E][:-1, :]
+    pw = pts[FACE_W][1:, :]
     assert np.allclose(pe, pw, atol=1e-14)
     assert np.allclose(geo.face_normal[FACE_E][:-1, :],
                        -geo.face_normal[FACE_W][1:, :], atol=1e-14)
     assert np.allclose(geo.face_sj[FACE_E][:-1, :],
                        geo.face_sj[FACE_W][1:, :], atol=1e-14)
-    pn = geo.face_points[FACE_N][:, :-1]
-    ps = geo.face_points[FACE_S][:, 1:]
+    pn = pts[FACE_N][:, :-1]
+    ps = pts[FACE_S][:, 1:]
     assert np.allclose(pn, ps, atol=1e-14)
     assert np.allclose(geo.face_normal[FACE_N][:, :-1],
                        -geo.face_normal[FACE_S][:, 1:], atol=1e-14)
@@ -144,7 +155,7 @@ def test_face_table_covers_every_face_once(nx, ny, tags):
     side, pairs join faces that touch (across the period of the unit box
     for wrap pairs), and periodic sides are never boundary sides."""
     blk = cartesian_block(nx, ny, tags=tags)
-    pts = blk.geometry(Basis(1)).face_points
+    pts = face_points(blk, Basis(1))
     seen = np.zeros((4, nx, ny), int)
     for fa, sa, fb, sb in blk.face_pairs:
         assert (fa, fb) in ((FACE_E, FACE_W), (FACE_N, FACE_S))

@@ -12,9 +12,7 @@ from machstem.errors import AssemblyError, ConfigError
 from machstem.gas import GasModel, conserved
 from machstem.io import verify_manifest
 from machstem.pipeline import (
-    ShockSegment,
     build_aligned_grid,
-    finish_patch,
     fit_shock_paths,
     load_checkpoint,
     run_key,
@@ -64,8 +62,10 @@ def test_fit_two_crossing_lines_intersection():
     tb = np.tan(np.radians(65.0))
     x_true = (0.0 - 1.0 * tb - (1.0 - 0.5 * ta)) / (ta - tb)
     y_true = 1.0 + (x_true - 0.5) * ta
-    hit = segs[0].intersect(segs[1])
-    assert hit is not None
+    # crossing of the lines through each segment's endpoints
+    (p, q), (r, t) = [(np.array(g.start), np.array(g.end)) for g in segs]
+    k = np.linalg.solve(np.array([q - p, r - t]).T, r - p)
+    hit = p + k[0] * (q - p)
     assert abs(hit[0] - x_true) < CELL and abs(hit[1] - y_true) < CELL
 
 
@@ -77,38 +77,6 @@ def test_fit_is_deterministic():
     s2 = fit_shock_paths(pts.copy(), CELL)
     assert [(a.start, a.end, a.n_points) for a in s1] == \
            [(b.start, b.end, b.n_points) for b in s2]
-
-
-def test_fit_labels_mach_reflection_pattern():
-    case = FlowCase(mach=3.0, wedge_angle_deg=24.0)
-    rng = np.random.default_rng(9)
-    geom = wedge_geometry(case)
-    # incident from the leading edge down to a triple point, a stem below
-    # it, and a reflected shock climbing downstream
-    tp = (1.05, 0.25)
-    inc = _line_points(geom["x_le"] + 0.02, 0.99, -49.0, 0.95, 70, rng)
-    stem = np.stack([np.full(30, tp[0]), np.linspace(0.01, tp[1], 30)],
-                    axis=1)
-    stem = _jitter(stem, rng, amp=0.15 * CELL)
-    refl = _line_points(tp[0], tp[1], 28.0, 0.5, 40, rng)
-    segs = fit_shock_paths(np.vstack([inc, stem, refl]), CELL, case=case)
-    labels = {s.label for s in segs}
-    assert "incident" in labels
-    assert "stem" in labels
-    assert "reflected" in labels
-
-
-def test_fit_labels_regular_reflection_pattern():
-    case = FlowCase(mach=3.0, wedge_angle_deg=20.0)
-    rng = np.random.default_rng(13)
-    geom = wedge_geometry(case)
-    inc = _line_points(geom["x_le"], 1.0, -37.8, 1.25, 80, rng)
-    refl = _line_points(1.69, 0.0, 30.0, 0.6, 50, rng)
-    segs = fit_shock_paths(np.vstack([inc, refl]), CELL, case=case)
-    labels = [s.label for s in segs]
-    assert "incident" in labels
-    assert "reflected" in labels
-    assert "stem" not in labels
 
 
 def _patch_cfg(**over):
@@ -147,39 +115,45 @@ def test_aligned_patch_empty_map_is_none():
     assert build_aligned_grid(case, cfg, np.empty((0, 2))) is None
 
 
-def test_aligned_patch_rejects_out_of_domain_segment():
+def test_aligned_patch_boundary_tags():
+    """The sides carry the tags a face-by-face test of the patch's
+    vertices against the channel boundary gives: wall on the floor and on
+    the wedge, outflow on the top wall behind the trailing edge, inflow
+    at the inlet, outflow at the exit, interface elsewhere."""
     cfg = _patch_cfg()
     case = FlowCase(mach=3.0, wedge_angle_deg=24.0,
                     coarse_grid=(150, 50), overset_grid=(60, 40))
-    band = _line_points(0.55, 0.95, -40.0, 1.0, 60)
-    bad = ShockSegment(label="incident", start=(-0.4, 0.5), end=(1.0, 0.2),
-                       angle_deg=-12.0, n_points=10, rms=0.01,
-                       point=(0.3, 0.35), direction=(0.98, -0.21))
-    with pytest.raises(AssemblyError, match="incident"):
-        build_aligned_grid(case, cfg, band, segments=[bad])
+    x_te = wedge_geometry(case)["x_te"]
+    tol = 1e-8
 
+    def on_top(p):
+        return abs(p[1] - float(top_profile(case, p[0]))) <= tol
 
-def test_finish_patch_boundary_tags():
-    case = FlowCase(mach=3.0, wedge_angle_deg=24.0)
-    # patch spanning full height: bottom on the wall, top on the wedge;
-    # one station sits exactly on the trailing-edge kink
-    geom = wedge_geometry(case)
-    xs = np.sort(np.append(np.linspace(0.8, 1.6, 20), geom["x_te"]))
-    ys = np.linspace(0.0, 1.0, 11)
-    verts = np.zeros((21, 11, 2))
-    verts[:, :, 0] = xs[:, None]
-    top = top_profile(case, xs)
-    verts[:, :, 1] = ys[None, :] * top[:, None]
-    blk = finish_patch(verts, case)
-    geom = wedge_geometry(case)
-    assert np.all(blk.tags[mesh.FACE_S] == mesh.TAG_WALL)
-    xmid = 0.5 * (xs[:-1] + xs[1:])
-    north = blk.tags[mesh.FACE_N]
-    assert np.all(north[xmid < geom["x_te"]] == mesh.TAG_WALL)
-    assert np.all(north[xmid > geom["x_te"]] == mesh.TAG_OUTFLOW)
-    # interior vertical cuts are interface faces
-    assert np.all(blk.tags[mesh.FACE_W] == mesh.TAG_INTERFACE)
-    assert np.all(blk.tags[mesh.FACE_E] == mesh.TAG_INTERFACE)
+    # a band off the leading edge, and one starting at the inlet
+    for band, west in ((_line_points(0.5, 0.916, -40.0, 1.0, 160),
+                        mesh.TAG_INTERFACE),
+                       (_line_points(0.02, 0.9, -30.0, 1.5, 160),
+                        mesh.TAG_INFLOW)):
+        blk = build_aligned_grid(case, cfg, band)
+        v = blk.vertices
+        south, north = [], []
+        for i in range(blk.ni):
+            a, b = v[i, 0], v[i + 1, 0]
+            south.append(mesh.TAG_WALL if abs(a[1]) <= tol and
+                         abs(b[1]) <= tol else mesh.TAG_INTERFACE)
+            a, b = v[i, -1], v[i + 1, -1]
+            m = 0.5 * (a + b)
+            north.append(mesh.TAG_INTERFACE
+                         if not (on_top(a) and on_top(b) and on_top(m))
+                         else mesh.TAG_WALL if m[0] < x_te - tol
+                         else mesh.TAG_OUTFLOW)
+        assert blk.tags[mesh.FACE_S].tolist() == south
+        assert blk.tags[mesh.FACE_N].tolist() == north
+        assert set(south) == {mesh.TAG_WALL, mesh.TAG_INTERFACE}
+        assert set(north) == {mesh.TAG_WALL, mesh.TAG_OUTFLOW,
+                              mesh.TAG_INTERFACE}
+        assert np.all(blk.tags[mesh.FACE_W] == west)
+        assert np.all(blk.tags[mesh.FACE_E] == mesh.TAG_OUTFLOW)
 
 
 def test_run_key_tracks_physics_sections_only():
@@ -218,8 +192,10 @@ def test_background_check_names_first_troubled_active_cell():
         check(disc, disc.project(contact), (0,), 1.0)
 
 
-# the tiny regular-reflection case of the benchmark's smoke-rr workload
-# (16 deg is well below the M=3 von Neumann angle of 19.656 deg)
+# the tiny case of the benchmark's smoke-rr workload, a plumbing check:
+# at 16 deg (well below the M=3 von Neumann angle of 19.656 deg) and
+# after these 300 coarse and 100 fine iterations no reflection has
+# formed, and the lowest strips still read Mach 3.000
 SMOKE = {
     "case.wedge_angle_deg": "16",
     "case.coarse_grid": "40x20",
@@ -238,6 +214,11 @@ SMOKE = {
 
 
 def test_pipeline_smoke_rr_then_restart(tmp_path, monkeypatch):
+    """A plumbing test: both stages, the artifacts, the manifest and a
+    restart from the checkpoint run end to end.  No reflection has formed
+    by the end of the march (the wall flow is still free stream), so the
+    RR it reads cannot fail by misclassifying a reflection; the exact-
+    state tests of ``measure_stem`` cover that."""
     fines = []
     run_fine = pipeline.run_fine
 

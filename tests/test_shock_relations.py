@@ -107,7 +107,7 @@ def test_transition_angles_m4():
 
 
 def test_dual_solution_domain_ordering_and_growth():
-    n3, d3 = sr.dual_solution_domain(3.0)
-    n4, d4 = sr.dual_solution_domain(4.0)
+    n3, d3 = sr.von_neumann_angle(3.0), sr.detachment_angle(3.0)
+    n4, d4 = sr.von_neumann_angle(4.0), sr.detachment_angle(4.0)
     assert n3 < d3 and n4 < d4
     assert (d4 - n4) > (d3 - n3)

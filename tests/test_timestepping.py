@@ -395,8 +395,9 @@ def test_fine_march_matches_out_of_place_stages(monkeypatch):
     compare_marchers(monkeypatch, pipeline, "march_to_steady",
                      out_of_place_march, runs)
     with pytest.raises(Compared):
-        pipeline.run_fine(case, cfg, coarse,
-                          CompositeSampler([coarse.disc], [coarse.coeffs]))
+        pipeline.run_fine(
+            case, cfg, coarse.disc.block.element_centroids()[coarse.flagged],
+            CompositeSampler([coarse.disc], [coarse.coeffs]))
     system = runs[0][0]
     assert len(system.discs) == 2 and system.transfer is not None
     assert_same_march(runs[0])
