@@ -3,7 +3,8 @@
 Subcommands:
   relations          transition angles from oblique-shock theory
   pipeline           one coarse-to-fine wedge run with artifacts
-  sweep              dual-start angle sweep (impulsive and restart-chained)
+  sweep              every angle twice: impulsively started, and restarted
+                     from the run at the next larger angle (hysteresis)
   convergence-study  measured order on the advecting-vortex solution
 
 Repeated runs are bitwise identical. The math libraries run
@@ -15,7 +16,8 @@ the bits do not depend on the thread count.  Importing this module
 loads no numpy.
 
 Exit codes: 0 success, 2 configuration error, 3 divergence, 4 front
-measurement failure, 5 overset assembly failure.
+measurement failure, 5 overset assembly failure.  A sweep writes a
+failed run into its table as ``error: ...`` and goes on.
 """
 
 import argparse
@@ -63,12 +65,11 @@ def build_parser():
             p.add_argument("--overset-grid", metavar="NIxNJ")
         else:
             p.add_argument("--angles", help="comma list of wedge angles, deg")
-            p.add_argument("--no-chain", action="store_true",
-                           help="restart every angle from the same seed")
             p.add_argument("--restart-seed",
-                           help="checkpoint dir seeding the restart branch")
+                           help="checkpoint dir seeding the largest angle's "
+                           "restart (default: its impulsive run)")
             p.add_argument("--out", default="sweep.csv",
-                           help="sweep table destination")
+                           help="sweep table destination (and its .dat)")
 
     p = sub.add_parser("convergence-study",
                        help="measured order on the vortex exact solution")
@@ -140,45 +141,20 @@ def _cmd_sweep(args):
     from pathlib import Path
 
     from .config import parse_config
-    from .errors import ConfigError
-    from .io import write_gnuplot_dat
-    from .pipeline import make_sweep_runner
-    from .wedge import hysteresis_sweep, sweep_table_csv
+    from .io import write_sweep_table
+    from .pipeline import run_sweep
     overrides = _collect_overrides(args, [
         ("case.mach", args.mach),
         ("case.aspect", args.aspect),
         ("sweep.angles_deg", args.angles),
+        ("sweep.restart_seed", args.restart_seed),
         ("output.out_dir", args.out_dir),
     ])
-    if args.no_chain:
-        overrides["sweep.chain"] = "0"
-    if args.restart_seed:
-        overrides["sweep.restart_seed"] = args.restart_seed
     cfg = parse_config(args.config, overrides)
-    if not cfg["sweep.angles_deg"]:
-        raise ConfigError("no sweep angles given: set --angles or config "
-                          "key 'sweep.angles_deg'")
-    log = None if args.quiet else print
-    runner = make_sweep_runner(cfg, reuse=not args.fresh, on_log=log)
-    rows = hysteresis_sweep(
-        runner, cfg["sweep.angles_deg"],
-        restart_seed=cfg["sweep.restart_seed"] or None,
-        chain=bool(cfg["sweep.chain"]))
-    text = sweep_table_csv(rows)
-    Path(args.out).write_text(text)
-    print(text, end="")
-
-    def ratio(entry):
-        try:
-            return float(entry)
-        except ValueError:
-            return float("nan")
-    write_gnuplot_dat(Path(args.out).with_suffix(".dat"),
-                      [[r.angle_deg for r in rows],
-                       [ratio(r.impulsive) for r in rows],
-                       [ratio(r.restart) for r in rows]],
-                      ["wedge_angle_deg", "stem_ratio_impulsive",
-                       "stem_ratio_restart"])
+    rows = run_sweep(cfg, reuse=not args.fresh,
+                     on_log=None if args.quiet else print)
+    write_sweep_table(args.out, rows)
+    print(Path(args.out).read_text(), end="")
     return 0
 
 

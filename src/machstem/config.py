@@ -25,6 +25,10 @@ def _float_list(text):
     return tuple(float(s) for s in str(text).split(",") if s.strip())
 
 
+def _wedge_angle(deg):
+    return 0.0 <= deg < 45.0
+
+
 @dataclass
 class _Key:
     parse: type
@@ -36,8 +40,7 @@ class _Key:
 SCHEMA = {
     # flow case
     "case.mach": _Key(float, 3.0, lambda v: v > 1.0, "> 1"),
-    "case.wedge_angle_deg": _Key(float, 24.0, lambda v: 0.0 <= v < 45.0,
-                                 "in [0, 45)"),
+    "case.wedge_angle_deg": _Key(float, 24.0, _wedge_angle, "in [0, 45)"),
     "case.aspect": _Key(float, 1.0, lambda v: v > 0.0, "> 0"),
     "case.init": _Key(str, "impulsive",
                       lambda v: v == "impulsive" or
@@ -82,9 +85,9 @@ SCHEMA = {
     "measurement.n_lines": _Key(int, 120, lambda v: v >= 16, ">= 16"),
     "measurement.nx": _Key(int, 1200, lambda v: v >= 64, ">= 64"),
     # sweep
-    "sweep.angles_deg": _Key(_float_list, (), None,
-                             "comma list of degrees"),
-    "sweep.chain": _Key(int, 1, lambda v: v in (0, 1), "0 or 1"),
+    "sweep.angles_deg": _Key(_float_list, (),
+                             lambda v: all(map(_wedge_angle, v)),
+                             "comma list of degrees in [0, 45)"),
     "sweep.restart_seed": _Key(str, "", None, "checkpoint dir or empty"),
     # output
     "output.out_dir": _Key(str, "runs", None, "directory"),
@@ -165,7 +168,6 @@ def case_from_config(cfg, gas=None):
         mach=cfg["case.mach"],
         wedge_angle_deg=cfg["case.wedge_angle_deg"],
         aspect=cfg["case.aspect"],
-        init_mode=cfg["case.init"],
         domain_length_factor=cfg["case.domain_length_factor"],
         coarse_grid=cfg["case.coarse_grid"],
         fine_background_grid=cfg["case.fine_background_grid"],

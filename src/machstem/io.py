@@ -1,16 +1,18 @@
 """Solution and diagnostic file writers plus the run manifest.
 
 All formats are plain text: legacy ASCII VTK structured grids for
-fields, comma-separated tables for residual histories and cell flags,
-JSON for fitted shock paths, and whitespace tables for gnuplot.  A run
-directory is sealed by a manifest recording every artifact with its
-SHA-256 checksum so a finished run can be audited or re-run from the
-manifest alone.
+fields, comma-separated tables for residual histories, cell flags and
+sweeps, JSON for fitted shock paths, and whitespace tables for gnuplot.
+A run directory is sealed by a manifest recording every artifact with
+its SHA-256 checksum so a finished run can be audited or re-run from
+the manifest alone.
 """
 
+import csv
 import dataclasses
 import hashlib
 import json
+import os
 import time
 from pathlib import Path
 
@@ -131,6 +133,38 @@ def write_gnuplot_dat(path, columns, names):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def write_sweep_table(path, rows):
+    """Sweep rows ``(angle, impulsive, restart)`` as CSV, and beside it
+    the gnuplot table of the same name ending in ``.dat``.
+
+    An entry is a measurement document or an error string.  The CSV
+    shows ``RR``, the MR stem height ratio to 4 decimals or the error;
+    the gnuplot table the MR ratios at full precision, NaN elsewhere.
+    """
+    def text(entry):
+        if isinstance(entry, str):
+            return entry
+        if entry["classification"] == "RR":
+            return "RR"
+        return f"{entry['stem_height_ratio']:.4f}"
+
+    def ratio(entry):
+        if isinstance(entry, dict) and entry["classification"] == "MR":
+            return entry["stem_height_ratio"]
+        return float("nan")
+
+    with open(path, "w", newline="") as f:
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow(["wedge_angle_deg", "impulsive_start", "restart_chain"])
+        for a, imp, rst in rows:
+            out.writerow([f"{a:.2f}", text(imp), text(rst)])
+    write_gnuplot_dat(Path(path).with_suffix(".dat"),
+                      [[r[0] for r in rows], [ratio(r[1]) for r in rows],
+                       [ratio(r[2]) for r in rows]],
+                      ["wedge_angle_deg", "stem_ratio_impulsive",
+                       "stem_ratio_restart"])
+
+
 def write_field_slice_dat(path, sampler, gas, y, x_range, n=800):
     """Gnuplot table of flow quantities along one horizontal line."""
     xs = np.linspace(x_range[0], x_range[1], n)
@@ -175,8 +209,11 @@ class RunManifest:
     def finish(self):
         self.doc["finished_utc"] = time.strftime(
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        # a reader never sees a half-written manifest
         path = self.run_dir / "manifest.json"
-        path.write_text(json.dumps(self.doc, indent=2, sort_keys=True) + "\n")
+        tmp = path.with_name("manifest.json.tmp")
+        tmp.write_text(json.dumps(self.doc, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, path)
         return path
 
 

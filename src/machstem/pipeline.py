@@ -8,7 +8,7 @@ band, and re-converges at high order with the shock-capturing machinery
 confined to the patch.  Straight-line shock paths fitted to the flagged
 cells are a diagnostic only (``shock_paths.json``).  The orchestrator
 wraps both stages with artifact writing, a checksummed manifest, and a
-config-keyed run cache.
+config-keyed run cache; the angle sweep runs it twice per angle.
 """
 
 import hashlib
@@ -24,14 +24,12 @@ from . import mesh
 from .basis import Basis
 from .config import case_from_config, dump_config
 from .dg import Discretization
-from .errors import (AssemblyError, ConfigError, DivergenceError,
-                     MeasurementError)
+from .errors import AssemblyError, ConfigError, DivergenceError
 from .overset import (CompositeSampler, OversetAssembly, points_in_footprint,
                       project_between)
 from .stabilization import Stabilizer, kxrcf_indicator, make_limiter_hook
 from .timestepping import System, march_to_steady
-from .wedge import (StemMeasurement, build_wedge_grid, measure_stem,
-                    top_profile, wedge_geometry)
+from .wedge import build_wedge_grid, measure_stem, top_profile, wedge_geometry
 
 CHECKPOINT_DIR = "checkpoint"
 # the troubled-cell indicator reads density alone
@@ -539,13 +537,17 @@ def _measurement_doc(measurement):
 
 
 def load_cached_run(run_dir):
+    """The summary of the finished run in ``run_dir``; None when there is
+    none to trust: no manifest, a manifest or ``result.json`` that does
+    not parse, or an output that fails its checksum."""
     run_dir = Path(run_dir)
-    if not (run_dir / "manifest.json").is_file():
+    try:
+        _, problems = artifacts.verify_manifest(run_dir)
+        if problems:
+            return None
+        res = json.loads((run_dir / "result.json").read_text())
+    except (OSError, ValueError):
         return None
-    doc, problems = artifacts.verify_manifest(run_dir)
-    if problems:
-        return None
-    res = json.loads((run_dir / "result.json").read_text())
     return RunSummary(run_dir, res["measurement"], res["invariants"],
                       res["coarse_outcome"], res["fine_outcome"], True)
 
@@ -585,8 +587,9 @@ def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
         return log
 
     seed, seed_coeffs = None, None
-    if case.restart_path is not None:
-        discs, coeffs = load_checkpoint(case.restart_path, case.gas)
+    init = cfg["case.init"]
+    if init.startswith("restart:"):
+        discs, coeffs = load_checkpoint(init[len("restart:"):], case.gas)
         # the refined patch is the preferred donor where the blocks overlap
         seed = CompositeSampler(discs[::-1], coeffs[::-1])
         seed_coeffs = project_between(seed, _coarse_disc(case, cfg))
@@ -659,20 +662,39 @@ def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
                       coarse.march.outcome, fine.march.outcome, False)
 
 
-def make_sweep_runner(base_cfg, *, reuse=True, on_log=None):
-    """Adapter running one sweep angle through the cached pipeline."""
-    def runner(angle_deg, restart_from):
-        cfg = dict(base_cfg)
-        cfg["case.wedge_angle_deg"] = angle_deg
-        cfg["case.init"] = ("impulsive" if restart_from is None
-                            else f"restart:{restart_from}")
-        summary = run_pipeline(cfg, reuse=reuse, on_log=on_log)
-        m = summary.measurement
-        if m["classification"] == "none":
-            raise MeasurementError("no shock system detected")
-        tp = m.get("triple_point")
-        meas = StemMeasurement(m["classification"],
-                               m.get("stem_height_ratio"),
-                               tuple(tp) if tp else None, {})
-        return meas, str(summary.checkpoint)
-    return runner
+def run_sweep(cfg, *, reuse=True, on_log=None):
+    """Run every angle of ``sweep.angles_deg`` impulsively started and
+    restart-seeded; returns rows ``(angle, impulsive, restart)``.
+
+    The angles run once each in descending order, the impulsive branch
+    first.  The restart branch starts from ``sweep.restart_seed`` or, when
+    that is empty, from the largest angle's impulsive checkpoint, and
+    seeds each later angle with the run before it.  An entry is the run's
+    measurement document (``result.json``) or ``"error: ..."``: a failed
+    run is recorded and the sweep goes on, but a run that failed or
+    detected no shock system seeds nothing.
+    """
+    angles = sorted(set(cfg["sweep.angles_deg"]), reverse=True)
+    if not angles:
+        raise ConfigError("no sweep angles given: set --angles or config "
+                          "key 'sweep.angles_deg'")
+
+    def run(angle, init):
+        try:
+            summary = run_pipeline(dict(cfg, **{"case.wedge_angle_deg": angle,
+                                                "case.init": init}),
+                                   reuse=reuse, on_log=on_log)
+        except Exception as exc:               # recorded, sweep continues
+            return f"error: {exc}", None
+        if summary.measurement["classification"] == "none":
+            return "error: no shock system detected", None
+        return summary.measurement, summary.checkpoint
+
+    impulsive, checkpoints = zip(*(run(a, "impulsive") for a in angles))
+    seed = cfg["sweep.restart_seed"] or checkpoints[0]
+    restart = []
+    for a in angles:
+        entry, seed = (run(a, f"restart:{seed}") if seed is not None
+                       else ("error: no seed solution available", None))
+        restart.append(entry)
+    return list(zip(angles, impulsive, restart))

@@ -52,7 +52,6 @@ class FlowCase:
     mach: float
     wedge_angle_deg: float
     aspect: float = 1.0                 # wedge surface length / channel height
-    init_mode: str = "impulsive"        # "impulsive" or "restart:<checkpoint>"
     domain_length_factor: float = 3.0   # channel length / channel height
     coarse_grid: tuple = (200, 100)     # background elements (ni, nj)
     fine_background_grid: tuple = (100, 50)
@@ -70,11 +69,6 @@ class FlowCase:
         if not self.domain_length_factor > 0.0:
             raise ConfigError("domain_length_factor must be positive "
                               f"(got {self.domain_length_factor})")
-        mode = self.init_mode
-        if mode != "impulsive" and not (mode.startswith("restart:") and
-                                        mode[len("restart:"):]):
-            raise ConfigError(
-                f"init_mode must be 'impulsive' or 'restart:<path>' (got {mode!r})")
         geom = wedge_geometry(self)   # validates the wedge fits the channel
         if geom["x_te"] >= self.length:
             raise ConfigError(
@@ -84,12 +78,6 @@ class FlowCase:
     @property
     def length(self):
         return self.domain_length_factor * CHANNEL_HEIGHT
-
-    @property
-    def restart_path(self):
-        if self.init_mode.startswith("restart:"):
-            return self.init_mode[len("restart:"):]
-        return None
 
     def free_stream(self):
         return free_stream(self.mach, self.gas)
@@ -250,70 +238,3 @@ def measure_stem(sampler, case, *, cell_size, n_lines=120, nx=1200):
     return StemMeasurement("MR", y / CHANNEL_HEIGHT, (float(x), float(y)),
                            diag)
 
-
-# ---------------------------------------------------------------------------
-# dual-mode angle sweep
-
-
-@dataclass
-class SweepRow:
-    angle_deg: float
-    impulsive: str          # "RR", stem ratio as str, or "error: ..."
-    restart: str
-
-
-def _row_entry(measurement):
-    if measurement.classification == "RR":
-        return "RR"
-    return f"{measurement.stem_height_ratio:.4f}"
-
-
-def hysteresis_sweep(runner, angles_deg, *, restart_seed=None, chain=True):
-    """Run every angle twice: impulsively started and restart-seeded.
-
-    `runner(angle_deg, restart_from)` converges one case and returns
-    `(measurement, checkpoint_path)`; `restart_from` is None for an
-    impulsive start.  The restart branch walks the angles in descending
-    order; with `chain=True` (default) each case is seeded with the
-    previous (larger-angle) converged solution, otherwise every case
-    restarts from the same fixed seed.  The seed is the largest angle's
-    impulsive solution unless `restart_seed` (a checkpoint path) is
-    given.  Failures are recorded in the table and the sweep continues.
-    """
-    angles = sorted(set(float(a) for a in angles_deg), reverse=True)
-    rows = {a: SweepRow(a, "", "") for a in angles}
-
-    impulsive_ckpt = {}
-    for a in angles:
-        try:
-            meas, ckpt = runner(a, None)
-            rows[a].impulsive = _row_entry(meas)
-            impulsive_ckpt[a] = ckpt
-        except Exception as exc:               # recorded, sweep continues
-            rows[a].impulsive = f"error: {exc}"
-
-    if restart_seed is None:
-        restart_seed = impulsive_ckpt.get(angles[0])
-    prev = restart_seed
-    for a in angles:
-        if prev is None:
-            rows[a].restart = "error: no seed solution available"
-            continue
-        try:
-            meas, ckpt = runner(a, prev)
-            rows[a].restart = _row_entry(meas)
-            if chain:
-                prev = ckpt
-        except Exception as exc:
-            rows[a].restart = f"error: {exc}"
-            if chain:
-                prev = None
-
-    return [rows[a] for a in angles]
-
-
-def sweep_table_csv(rows):
-    lines = ["wedge_angle_deg,impulsive_start,restart_chain"]
-    for r in rows:
-        lines.append(f"{r.angle_deg:.2f},{r.impulsive},{r.restart}")
-    return "\n".join(lines) + "\n"

@@ -75,6 +75,14 @@ def test_bad_sweep_angle_exit_code(capsys):
     assert "sweep.angles_deg" in capsys.readouterr().err
 
 
+def test_out_of_range_sweep_angle_fails_before_any_run(capsys, monkeypatch):
+    from machstem import pipeline
+    monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg, **kw:
+                        pytest.fail("a run started"))
+    assert main(["sweep", "--angles", "24,50"]) == 2
+    assert "sweep.angles_deg" in capsys.readouterr().err
+
+
 def test_malformed_set_reports_error(capsys):
     rc = main(["pipeline", "--set", "case.mach:3"])
     assert rc == 2
@@ -89,8 +97,8 @@ def test_parser_accepts_documented_flags():
     assert args.command == "pipeline"
     assert args.mach == 3.0
     assert args.coarse_grid == "200x100"
-    args = p.parse_args(["sweep", "--angles", "21.0,19.6", "--no-chain",
-                         "--out", "table.csv"])
+    args = p.parse_args(["sweep", "--angles", "21.0,19.6", "--restart-seed",
+                         "runs/abc/checkpoint", "--out", "table.csv"])
     assert args.command == "sweep"
     args = p.parse_args(["convergence-study", "--order", "4",
                          "--layout", "two-block"])

@@ -38,6 +38,8 @@ def test_bad_value_names_key():
         parse_config(None, overrides={"case.mach": "fast"})
     with pytest.raises(ConfigError, match="out of range"):
         parse_config(None, overrides={"solver.cfl": "-1"})
+    with pytest.raises(ConfigError, match="case.init"):
+        parse_config(None, overrides={"case.init": "warm"})
 
 
 def test_grid_parsing():

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from machstem import mesh, pipeline
+from machstem import cli, mesh, pipeline
 from machstem.basis import Basis
 from machstem.config import parse_config
 from machstem.dg import Discretization
@@ -14,13 +14,13 @@ from machstem.io import verify_manifest
 from machstem.pipeline import (
     build_aligned_grid,
     fit_shock_paths,
+    load_cached_run,
     load_checkpoint,
     run_key,
     run_pipeline,
     save_checkpoint,
 )
-from machstem.wedge import (FlowCase, StemMeasurement, top_profile,
-                            wedge_geometry)
+from machstem.wedge import FlowCase, top_profile, wedge_geometry
 
 CELL = 0.02
 
@@ -262,16 +262,50 @@ def test_pipeline_smoke_rr_then_restart(tmp_path, monkeypatch):
                           fines[0].discs[1].block.vertices)
 
 
-def test_sweep_runner_measurement_from_summary(tmp_path, monkeypatch):
-    doc = {"classification": "MR", "stem_height_ratio": 0.2,
-           "triple_point": [1.1, 0.2]}
-    monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg, **kw:
-                        pipeline.RunSummary(tmp_path, doc, {}, "stalled",
-                                            "stalled", True))
-    runner = pipeline.make_sweep_runner(parse_config(None))
-    meas, ckpt = runner(24.0, None)
-    assert meas == StemMeasurement("MR", 0.2, (1.1, 0.2), {})
-    assert ckpt == str(tmp_path / "checkpoint")
+@pytest.mark.parametrize("damage", ["", '{"outputs": {"result.json": '])
+def test_unreadable_manifest_is_no_cache(tmp_path, damage):
+    """A manifest cut short (a run killed while writing it) means the
+    run is redone, not that the lookup crashes."""
+    (tmp_path / "result.json").write_text("{}\n")
+    (tmp_path / "manifest.json").write_text(damage)
+    assert load_cached_run(tmp_path) is None
+
+
+def test_sweep_end_to_end(tmp_path, monkeypatch):
+    """A plumbing test, like ``test_pipeline_smoke_rr_then_restart``: both
+    branches of a two-angle sweep run through ``run_pipeline`` on the
+    smoke grids, and a second sweep reuses every run.  No reflection has
+    formed by the end of these marches, so the RR entries cannot fail by
+    misclassifying one."""
+    argv = ["sweep", "--angles", "16,15", "--quiet",
+            "--out", str(tmp_path / "sweep.csv"),
+            "--out-dir", str(tmp_path / "runs")]
+    for key, value in dict(SMOKE, **{"solver.coarse_max_iterations": "120",
+                                     "solver.fine_max_iterations": "30"}
+                           ).items():
+        argv += ["--set", f"{key}={value}"]
+    assert cli.main(argv) == 0
+    table = (tmp_path / "sweep.csv").read_text()
+    assert table.splitlines()[1:] == ["16.00,RR,RR", "15.00,RR,RR"]
+    assert (tmp_path / "sweep.dat").is_file()
+    runs = {}
+    for run_dir in (tmp_path / "runs").iterdir():
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert "init_mode" not in manifest["case"]
+        config = manifest["config"]
+        runs[config["case.init"], config["case.wedge_angle_deg"]] = run_dir
+    assert len(runs) == 4
+    restarts = {a: d for (init, a), d in runs.items() if init != "impulsive"}
+    assert sorted(restarts) == ["15.0", "16.0"]
+    assert (f"restart:{restarts['16.0'] / 'checkpoint'}", "15.0") in runs
+
+    coarse = []
+    monkeypatch.setattr(pipeline, "run_coarse",
+                        lambda *a, **kw: coarse.append(a))
+    assert cli.main(argv) == 0
+    assert coarse == []
+    assert (tmp_path / "sweep.csv").read_text() == table
+    assert len(list((tmp_path / "runs").iterdir())) == 4
 
 
 def test_pipeline_without_shock_marches_background_alone(tmp_path):

@@ -1,23 +1,26 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from machstem import mesh
+from machstem import mesh, pipeline
 from machstem.basis import Basis
+from machstem.config import parse_config
 from machstem.dg import Discretization
 from machstem.errors import ConfigError, MeasurementError
 from machstem.gas import GasModel, conserved, primitives
+from machstem.io import write_sweep_table
 from machstem.overset import CompositeSampler
+from machstem.pipeline import run_sweep
 from machstem.shock_relations import max_deflection, oblique_shock
 from machstem.wedge import (
     FlowCase,
     StemMeasurement,
-    SweepRow,
     build_wedge_grid,
-    hysteresis_sweep,
     measure_stem,
-    sweep_table_csv,
     top_profile,
     wedge_geometry,
 )
@@ -42,14 +45,6 @@ def test_case_validation():
         FlowCase(mach=3.0, wedge_angle_deg=50.0)
     with pytest.raises(ConfigError):
         FlowCase(mach=3.0, wedge_angle_deg=20.0, aspect=0.0)
-    with pytest.raises(ConfigError):
-        FlowCase(mach=3.0, wedge_angle_deg=20.0, init_mode="warm")
-
-
-def test_restart_path_parsing():
-    case = FlowCase(mach=3.0, wedge_angle_deg=20.0, init_mode="restart:runs/abc")
-    assert case.restart_path == "runs/abc"
-    assert FlowCase(mach=3.0, wedge_angle_deg=20.0).restart_path is None
 
 
 def test_wedge_geometry_trailing_edge():
@@ -300,61 +295,89 @@ def test_front_jitter_does_not_change_the_answer(reflection_case, jitter):
             _line_spacing(case) + 1e-12
 
 
-def _mr_measurement(ratio):
-    return StemMeasurement("MR", ratio, (1.0, ratio), {})
+# ---------------------------------------------------------------------------
+# dual-start angle sweep
 
 
-def _rr_measurement():
-    return StemMeasurement("RR", None, None, {})
+MR = {"classification": "MR", "stem_height_ratio": 0.1,
+      "triple_point": [1.0, 0.1]}
+RR = {"classification": "RR", "stem_height_ratio": None,
+      "triple_point": None}
 
 
-def test_hysteresis_sweep_two_branches():
+def _fake_pipeline(monkeypatch, measure):
+    """Replace ``run_pipeline`` by ``measure(angle, init)``, which returns
+    a measurement document or raises; each run's directory is named after
+    its angle and start.  Returns the (angle, init) calls."""
     calls = []
 
-    def runner(angle, restart_from):
-        calls.append((angle, restart_from))
-        mr = restart_from is not None or angle > 22.0
-        m = _mr_measurement(0.1) if mr else _rr_measurement()
-        return m, f"ckpt-{angle:g}"
+    def run(cfg, **kwargs):
+        angle, init = cfg["case.wedge_angle_deg"], cfg["case.init"]
+        calls.append((angle, init))
+        return pipeline.RunSummary(
+            Path(f"{init.partition(':')[0]}-{angle:g}"), measure(angle, init),
+            {}, "stalled", "stalled", False)
 
-    rows = hysteresis_sweep(runner, [24.0, 21.0, 19.6])
-    assert [r.angle_deg for r in rows] == [24.0, 21.0, 19.6]
-    assert rows[0].impulsive == "0.1000"
-    assert rows[1].impulsive == "RR"
-    assert rows[1].restart == "0.1000"
-    # restart branch seeds from the largest angle, then chains downward
-    restart_seeds = [c[1] for c in calls if c[1] is not None]
-    assert restart_seeds == ["ckpt-24", "ckpt-24", "ckpt-21"]
+    monkeypatch.setattr(pipeline, "run_pipeline", run)
+    return calls
 
 
-def test_hysteresis_sweep_unchained_uses_fixed_seed():
-    seeds = []
+def test_hysteresis_sweep_two_branches(monkeypatch):
+    calls = _fake_pipeline(
+        monkeypatch,
+        lambda a, init: MR if init != "impulsive" or a > 22.0 else RR)
+    cfg = parse_config(None, {"sweep.angles_deg": "21,24,19.6,21"})
+    rows = run_sweep(cfg)
+    assert rows == [(24.0, MR, MR), (21.0, RR, MR), (19.6, RR, MR)]
+    # impulsive branch first, then the restart branch seeds from the
+    # largest angle and chains downward
+    assert calls == [(24.0, "impulsive"), (21.0, "impulsive"),
+                     (19.6, "impulsive"),
+                     (24.0, "restart:impulsive-24/checkpoint"),
+                     (21.0, "restart:restart-24/checkpoint"),
+                     (19.6, "restart:restart-21/checkpoint")]
 
-    def runner(angle, restart_from):
-        if restart_from is not None:
-            seeds.append(restart_from)
-        return _rr_measurement(), f"ckpt-{angle:g}"
-
-    hysteresis_sweep(runner, [24.0, 21.0, 19.6], chain=False)
-    assert seeds == ["ckpt-24", "ckpt-24", "ckpt-24"]
+    calls.clear()
+    run_sweep(dict(cfg, **{"sweep.restart_seed": "seed-dir"}))
+    assert calls[3] == (24.0, "restart:seed-dir")
 
 
-def test_hysteresis_sweep_row_error_is_recorded():
-    def runner(angle, restart_from):
-        if angle < 20.0 and restart_from is None:
+def test_hysteresis_sweep_row_error_is_recorded(monkeypatch):
+    def measure(angle, init):
+        if angle < 20.0 and init == "impulsive":
             raise MeasurementError("no front found")
-        return _rr_measurement(), "ckpt"
+        if angle == 21.0 and init != "impulsive":
+            return {"classification": "none"}
+        return RR
 
-    rows = hysteresis_sweep(runner, [24.0, 19.6])
-    assert rows[1].impulsive.startswith("error:")
-    assert rows[1].restart == "RR"
+    calls = _fake_pipeline(monkeypatch, measure)
+    rows = run_sweep(parse_config(None, {"sweep.angles_deg": "24,21,19.6"}))
+    assert rows == [(24.0, RR, RR),
+                    (21.0, RR, "error: no shock system detected"),
+                    (19.6, "error: no front found",
+                     "error: no seed solution available")]
+    assert len(calls) == 5       # nothing seeds the last restart
+    with pytest.raises(ConfigError, match="no sweep angles"):
+        run_sweep(parse_config(None))
 
 
-def test_sweep_table_csv():
-    rows = [SweepRow(angle_deg=24.0, impulsive="0.2740", restart="0.2740"),
-            SweepRow(angle_deg=21.0, impulsive="RR", restart="0.0410")]
-    text = sweep_table_csv(rows)
-    lines = text.strip().splitlines()
-    assert lines[0] == "wedge_angle_deg,impulsive_start,restart_chain"
-    assert lines[1] == "24.00,0.2740,0.2740"
-    assert lines[2] == "21.00,RR,0.0410"
+def test_sweep_table_csv(tmp_path):
+    """Rows without commas keep their bytes; an error with commas stays
+    one quoted field; the .dat has the MR ratios at full precision."""
+    error = "error: flagged coarse cell at (1.234, 0.567) lies outside"
+    rows = [(24.0, dict(MR, stem_height_ratio=0.27401234),
+             dict(MR, stem_height_ratio=0.274)),
+            (21.0, RR, dict(MR, stem_height_ratio=0.041)),
+            (19.6, error, RR)]
+    path = tmp_path / "sweep.csv"
+    write_sweep_table(path, rows)
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["wedge_angle_deg,impulsive_start,restart_chain",
+                         "24.00,0.2740,0.2740", "21.00,RR,0.0410"]
+    table = list(csv.reader(path.open(newline="")))
+    assert [len(r) for r in table] == [3, 3, 3, 3]
+    assert table[3] == ["19.60", error, "RR"]
+    dat = np.loadtxt(tmp_path / "sweep.dat")
+    assert dat[0].tolist() == [24.0, 0.27401234, 0.274]
+    assert np.isnan(dat[1, 1]) and dat[1, 2] == 0.041
+    assert np.isnan(dat[2, 1:]).all()
