@@ -1,22 +1,24 @@
 """Print SHA-256 digests of what the benchmark's marches compute.
 
 Runs one operation of each of ``benchmarks/workloads.py``'s
-coarse-march, fine-march and vortex-p4 workloads and hashes the final
-coefficients of every march it makes, and the history of every
-``march_to_steady``; then one smoke-rr operation, hashing the
-coefficient arrays (``coeffs_*.npy``) of its checkpoint only, so that
-what else the checkpoint stores does not enter the digest. Prints one
-line per workload, smoke-rr's classification and stem height, one
-digest of all four, and the number of threads besides the main one that
-the run left (the pool's, ``dg.dispatch``):
+coarse-march, fine-march, vortex-p4 and smoke-rr workloads. Every march
+they make (``march_to_steady`` or ``advance_time``) feeds the digest the
+final coefficients of each block's active elements (the block's
+``active_mask``), which are what the solver reads, and the history of
+every ``march_to_steady``. Coefficients of holes and of fringe
+receivers do not enter it. Prints one line per workload, smoke-rr's
+with its classification and stem height, one digest of all four, and
+the number of threads besides the main one that the run left (the
+pool's, ``dg.dispatch``):
 
     python3 scripts/march_digest.py --seed 540
 
-Two checkouts that print the same digests computed the same bits. A
-history row is hashed by its first four entries (iteration, residual,
-max wave speed, dt), which every version of the march records. Uses the
-``src/`` and ``benchmarks/`` of the checkout it lives in, changes
-neither, and writes run directories to a temporary directory only.
+Two checkouts that print the same digests computed the same bits in
+every active element. A history row is hashed by its first four entries
+(iteration, residual, max wave speed, dt), which every version of the
+march records. Uses the ``src/`` and ``benchmarks/`` of the checkout it
+lives in, changes neither, and writes run directories to a temporary
+directory only.
 """
 
 import argparse
@@ -37,7 +39,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from machstem import pipeline, timestepping  # noqa: E402
+from machstem import timestepping  # noqa: E402
 
 
 def feed(digest, array):
@@ -48,16 +50,16 @@ def feed(digest, array):
 
 def hashing_marches(digest):
     """Wrap both marchers, in every machstem module that holds them, so
-    each feeds its final coefficients (and history) to ``digest``; returns
-    a function that puts the originals back."""
+    each feeds its blocks' final active coefficients (and its history) to
+    ``digest``; returns a function that puts the originals back."""
     undo = []
     for name in ("march_to_steady", "advance_time"):
         original = getattr(timestepping, name)
 
         def hashed(system, coeffs_list, *args, _march=original, **kwargs):
             out = _march(system, coeffs_list, *args, **kwargs)
-            for c in coeffs_list:
-                feed(digest, c)
+            for d, c in zip(system.discs, coeffs_list):
+                feed(digest, c[:, d.active_mask])
             if isinstance(out, timestepping.MarchResult):
                 feed(digest, [row[:4] for row in out.history])
             return out
@@ -73,31 +75,25 @@ def hashing_marches(digest):
 def main(seed):
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as out:
-        for name in ("coarse-march", "fine-march", "vortex-p4"):
+        for name in ("coarse-march", "fine-march", "vortex-p4", "smoke-rr"):
+            work = workloads.WORKLOADS[name](seed, out)
             digest = hashlib.sha256()
             restore = hashing_marches(digest)
             try:
-                workloads.WORKLOADS[name](seed, out).operation()
+                ans = work.operation()
             finally:
                 restore()
-            print(f"{name:13s} {digest.hexdigest()}")
+            line = f"{name:13s} {digest.hexdigest()}"
+            if name == "smoke-rr":
+                meas = json.loads((work.run_dir / "result.json")
+                                  .read_text())["measurement"]
+                problems = work.check(ans)   # and removes the run directory
+                line += (f"  {meas['classification']} stem "
+                         f"{meas.get('stem_height_ratio')}"
+                         + (f"  check: {'; '.join(problems)}"
+                            if problems else ""))
+            print(line)
             total.update(digest.digest())
-
-        work = workloads.SmokeRR(seed, out)
-        ans = work.operation()
-        digest = hashlib.sha256()
-        for path in sorted((work.run_dir / pipeline.CHECKPOINT_DIR)
-                           .glob("coeffs_*.npy")):
-            digest.update(path.name.encode())
-            feed(digest, np.load(path))
-        meas = json.loads((work.run_dir / "result.json").read_text())[
-            "measurement"]
-        problems = work.check(ans)   # and removes the run directory
-        print(f"{'smoke-rr':13s} {digest.hexdigest()}  "
-              f"{meas['classification']} stem "
-              f"{meas.get('stem_height_ratio')}"
-              + (f"  check: {'; '.join(problems)}" if problems else ""))
-        total.update(digest.digest())
     print(f"{'all':13s} {total.hexdigest()}")
     print(f"{'threads':13s} {threading.active_count() - 1}")
 

@@ -76,7 +76,7 @@ SCHEMA = {
     "stabilization.tvb_m": _Key(float, 0.0, lambda v: v >= 0.0, ">= 0"),
     # overset assembly
     "overset.hole_margin": _Key(int, 2, lambda v: v >= 1, ">= 1"),
-    "overset.fringe_width": _Key(int, 2, lambda v: v >= 1, ">= 1"),
+    "overset.fringe_width": _Key(int, 1, lambda v: v >= 1, ">= 1"),
     "overset.fringe_rings": _Key(int, 1, lambda v: v >= 1, ">= 1"),
     "overset.band_below": _Key(float, 0.25, lambda v: v > 0.0, "> 0"),
     "overset.band_above": _Key(float, 0.12, lambda v: v > 0.0, "> 0"),

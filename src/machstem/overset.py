@@ -2,7 +2,8 @@
 overlapping shock-aligned block.
 
 Background elements under the overlapping block are classified by their
-erosion depth from the edge of the covered region:
+erosion depth from the edge of the covered region (the taxicab distance
+to the nearest uncovered element):
 
   * depth 1 .. hole_margin          stay ACTIVE — they keep computing and
                                     serve as donors for the overlapping
@@ -13,14 +14,21 @@ erosion depth from the edge of the covered region:
                                     interior solution;
   * anything deeper                 becomes HOLE — frozen, never read.
 
+One fringe layer is all the active elements read. A DG element sees a
+neighbour only through a shared face, and an element at depth
+hole_margin + 1 always has a 4-neighbour at depth hole_margin, so every
+receiver of that layer feeds an active element's face flux. Holes, and
+any deeper fringe a larger ``fringe_width`` keeps, are inactive: the
+fluxes computed from them land in inactive elements only, and no active
+element, wave speed, indicator value or guard reads them.
+
 The overlapping block is ACTIVE everywhere except a one-ring fringe along
 its sides tagged as interface, which receives projections of the
 background solution. Donors must always be ACTIVE elements of the other
 block; assembly fails loudly if coverage is too thin to satisfy that.
-
-If the covered region has no interior edge (the blocks are coincident,
-as in unit tests), erosion depth falls back to index distance from the
-block border.
+After every transfer the positivity guard repairs the receivers of both
+blocks: the projection of a donor shock can dip below the floors at a
+receiver's guard nodes.
 
 All donor lookups invert the bilinear element mapping with Newton
 iteration, seeded by a centroid k-d tree and finished by a structured
@@ -32,12 +40,14 @@ from __future__ import annotations
 from functools import partial
 
 import numpy as np
+from scipy.ndimage import distance_transform_cdt
 from scipy.spatial import cKDTree
 
 from .basis import FACE_W, FACE_E, FACE_S, FACE_N
 from .dg import dispatch
 from .errors import AssemblyError
 from .mesh import TAG_INTERFACE
+from .stabilization import positivity_guard
 
 STATUS_ACTIVE = 0
 STATUS_FRINGE = 1
@@ -60,8 +70,7 @@ def boundary_polygon(block):
 def points_in_footprint(block, pts):
     """Crossing-number test of points against the block's perimeter."""
     poly = boundary_polygon(block)
-    x = np.asarray(pts, float)[..., 0].ravel()
-    y = np.asarray(pts, float)[..., 1].ravel()
+    x, y = np.asarray(pts, float).reshape(-1, 2).T
     x0, y0 = poly[:-1, 0], poly[:-1, 1]
     x1, y1 = poly[1:, 0], poly[1:, 1]
     inside = np.zeros(x.shape, bool)
@@ -156,14 +165,11 @@ class PointLocator:
         if np.any(missing):
             fi, fj, fr, fs, ffound = self._walk(pts[missing], pick[missing],
                                                 tol)
-            ij[missing, 0] = fi
-            ij[missing, 1] = fj
-            rs[missing, 0] = fr
-            rs[missing, 1] = fs
+            ij[missing] = np.column_stack([fi, fj])
+            rs[missing] = np.column_stack([fr, fs])
             found[missing] = ffound
-        if clamp:
-            rs = np.clip(rs, -1.0, 1.0)
-        return found, ij, np.clip(rs, -1.0 - tol, 1.0 + tol)
+        lim = 1.0 if clamp else 1.0 + tol
+        return found, ij, np.clip(rs, -lim, lim)
 
     def _walk(self, pts, start_flat, tol):
         """Structured walk for the points the seeds missed, in lock step.
@@ -219,49 +225,28 @@ def covered_elements(background, overset, shrink=1e-6):
     element whose edge lies exactly on the footprint boundary (both blocks
     ending on the same wall, say) still counts as covered.
     """
-    c00, c10, c11, c01 = background.corners
     cent = background.element_centroids()
-    covered = np.ones((background.ni, background.nj), bool)
-    for corner in (c00, c10, c11, c01, cent):
-        test = cent + (1.0 - shrink) * (corner - cent)
-        covered &= points_in_footprint(overset, test)
-    return covered
+    test = cent + (1.0 - shrink) * (np.stack([*background.corners, cent])
+                                    - cent)
+    return points_in_footprint(overset, test).all(axis=0)
 
 
 def erosion_depth(covered):
     """Layer index of covered elements, counted inward from the covered
-    region's interior edge (uncovered 4-neighbors within the grid).
-    Uncovered elements get 0.  The grid border itself does not start a
-    front: where the overlapping block runs all the way to the domain
-    boundary there is no flow on the far side to exchange with.  A fully
-    covered grid falls back to index distance from the border.
+    region's interior edge: the taxicab distance to the nearest uncovered
+    element of the grid.  Uncovered elements get 0.  The grid border
+    itself does not start a front: where the overlapping block runs all
+    the way to the domain boundary there is no flow on the far side to
+    exchange with.  A fully covered grid falls back to index distance
+    from the border, through one uncovered ring around it.
     """
-    ni, nj = covered.shape
-    depth = np.zeros((ni, nj), int)
-    if not covered.any():
-        return depth
     if covered.all():
-        ii, jj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
-        return np.minimum(np.minimum(ii, ni - 1 - ii),
-                          np.minimum(jj, nj - 1 - jj)) + 1
-    pad = np.pad(covered, 1, mode="edge")
-    front = covered & ~(pad[:-2, 1:-1] & pad[2:, 1:-1]
-                        & pad[1:-1, :-2] & pad[1:-1, 2:])
-    depth[front] = 1
-    cur = front
-    d = 1
-    while True:
-        padc = np.pad(cur, 1, constant_values=False)
-        nxt = covered & (depth == 0) & (padc[:-2, 1:-1] | padc[2:, 1:-1]
-                                        | padc[1:-1, :-2] | padc[1:-1, 2:])
-        if not nxt.any():
-            return depth
-        d += 1
-        depth[nxt] = d
-        cur = nxt
+        return distance_transform_cdt(np.pad(covered, 1),
+                                      metric="taxicab")[1:-1, 1:-1]
+    return distance_transform_cdt(covered, metric="taxicab")
 
 
-def classify_background(background, overset, hole_margin=2, fringe_width=2):
+def classify_background(background, overset, hole_margin=2, fringe_width=1):
     """Status array for the background block under one overlapping block."""
     covered = covered_elements(background, overset)
     depth = erosion_depth(covered)
@@ -300,15 +285,16 @@ def overset_fringe(block, rings=1):
 # ---------------------------------------------------------------------
 class TransferOp:
     """Precomputed L2 projection of one donor block's solution onto the
-    fringe elements of a receiver block."""
+    fringe elements of a receiver block.  Every donor element must be
+    active in ``donor_status``."""
 
-    def __init__(self, receiver_disc, fringe_mask, donor_disc,
-                 donor_status=None, label=""):
+    def __init__(self, receiver_disc, fringe_mask, donor_disc, donor_status,
+                 label):
         self.receiver = receiver_disc
         self.donor = donor_disc
-        self.fringe_idx = np.argwhere(fringe_mask)
-        nf = len(self.fringe_idx)
-        self.label = label or "transfer"
+        self.cells = np.nonzero(fringe_mask)
+        nf = len(self.cells[0])
+        self.label = label
         if nf == 0:
             self.proj = None
             return
@@ -321,23 +307,22 @@ class TransferOp:
         if not found.all():
             k = int(np.argmin(found))
             bad = pts.reshape(-1, 2)[k]
-            fi, fj = self.fringe_idx[k // nq]
+            fi, fj = (ix[k // nq] for ix in self.cells)
             raise AssemblyError(
                 f"{self.label}: quadrature point ({bad[0]:.6g}, {bad[1]:.6g})"
                 f" of fringe element ({fi}, {fj}) lies outside the donor "
                 f"block {donor_disc.block.name!r}; the blocks do not "
                 f"overlap there")
-        if donor_status is not None:
-            stat = donor_status[ij[:, 0], ij[:, 1]]
-            if np.any(stat != STATUS_ACTIVE):
-                k = int(np.argmax(stat != STATUS_ACTIVE))
-                raise AssemblyError(
-                    f"{self.label}: donor element "
-                    f"({ij[k, 0]}, {ij[k, 1]}) of block "
-                    f"{donor_disc.block.name!r} is not active (status "
-                    f"{int(stat[k])}); receivers must never interpolate "
-                    f"from fringe or hole data — increase the active donor "
-                    f"margin or the overlap width")
+        stat = donor_status[ij[:, 0], ij[:, 1]]
+        if np.any(stat != STATUS_ACTIVE):
+            k = int(np.argmax(stat != STATUS_ACTIVE))
+            raise AssemblyError(
+                f"{self.label}: donor element "
+                f"({ij[k, 0]}, {ij[k, 1]}) of block "
+                f"{donor_disc.block.name!r} is not active (status "
+                f"{int(stat[k])}); receivers must never interpolate "
+                f"from fringe or hole data — increase the active donor "
+                f"margin or the overlap width")
         self.donor_flat = (ij[:, 0] * donor_disc.block.nj
                            + ij[:, 1]).reshape(nf, nq)
         self.donor_basis = donor_disc.basis.eval_modes(
@@ -369,7 +354,7 @@ class TransferOp:
                          optimize=self._paths[0])
         proj = np.einsum("fpq,vfq->vfp", self.proj, vals,
                          optimize=self._paths[1])
-        receiver_coeffs[:, self.fringe_idx[:, 0], self.fringe_idx[:, 1]] = proj
+        receiver_coeffs[(slice(None), *self.cells)] = proj
 
 
 def project_between(sampler, dst_disc):
@@ -392,7 +377,7 @@ def project_between(sampler, dst_disc):
 class OversetAssembly:
     """Classified two-block system with both transfer directions built."""
 
-    def __init__(self, bg_disc, ov_disc, hole_margin=2, fringe_width=2,
+    def __init__(self, bg_disc, ov_disc, hole_margin=2, fringe_width=1,
                  ov_fringe_rings=1):
         self.bg = bg_disc
         self.ov = ov_disc
@@ -407,29 +392,33 @@ class OversetAssembly:
         bg_disc.active_mask = self.status_bg == STATUS_ACTIVE
         ov_disc.active_mask = self.status_ov == STATUS_ACTIVE
         self.to_bg = TransferOp(bg_disc, self.status_bg == STATUS_FRINGE,
-                                ov_disc, donor_status=self.status_ov,
-                                label="background fringe")
-        self.to_ov = TransferOp(ov_disc, ov_fr, bg_disc,
-                                donor_status=self.status_bg,
-                                label="overset fringe")
+                                ov_disc, self.status_ov, "background fringe")
+        self.to_ov = TransferOp(ov_disc, ov_fr, bg_disc, self.status_bg,
+                                "overset fringe")
+        # each block with its receivers, and the guard's repairs of them
+        self.receivers = [(op.receiver, op.cells)
+                          for op in (self.to_bg, self.to_ov)]
+        self.receiver_repairs = [0, 0]
 
     def transfer(self, coeffs_list):
         """Both directions, as two tasks of ``dg.dispatch`` when either
         block spans more than one row block: each reads active donors
-        only and writes its own receiver's fringe."""
+        only and writes its own receiver's fringe.  Then the positivity
+        guard repairs each block's receivers, and only those."""
         bg_c, ov_c = coeffs_list
         dispatch([partial(self.to_bg, ov_c, bg_c),
                   partial(self.to_ov, bg_c, ov_c)],
                  self.bg.pooled or self.ov.pooled)
+        for k, ((disc, cells), c) in enumerate(zip(self.receivers,
+                                                   coeffs_list)):
+            self.receiver_repairs[k] += positivity_guard(disc, c, cells)
 
     def counts(self):
-        out = {}
-        for name, st in (("background", self.status_bg),
-                         ("overset", self.status_ov)):
-            out[name] = {"active": int((st == STATUS_ACTIVE).sum()),
-                         "fringe": int((st == STATUS_FRINGE).sum()),
-                         "hole": int((st == STATUS_HOLE).sum())}
-        return out
+        kinds = (("active", STATUS_ACTIVE), ("fringe", STATUS_FRINGE),
+                 ("hole", STATUS_HOLE))
+        return {name: {kind: int((st == s).sum()) for kind, s in kinds}
+                for name, st in (("background", self.status_bg),
+                                 ("overset", self.status_ov))}
 
 
 class CompositeSampler:

@@ -484,6 +484,8 @@ def run_fine(case, cfg, flag_pts, seed, *, on_log=None):
     if assembly is not None:
         invariants["overset_guard_activations"] = stabs[1].guard_activations
         invariants["overset_limiter_activations"] = stabs[1].limited_cells
+        (invariants["background_receiver_repairs"],
+         invariants["overset_receiver_repairs"]) = assembly.receiver_repairs
     _check_background_clean(discs[0], coeffs[0], INDICATOR_VARIABLES,
                             cfg["stabilization.threshold"])
 

@@ -34,9 +34,10 @@ side there is no neighbor: the indicator counts no jump there and the
 limiter drops that side's constraint (one-sided limiting).
 
 The positivity guard (after Zhang & Shu, JCP 229:8918, 2010) keeps each
-active cell's mean and its values at the guard nodes (``Basis.node_V``:
+guarded cell's mean and its values at the guard nodes (``Basis.node_V``:
 the volume and face quadrature nodes) above a density and a pressure
-floor. Most cells it proves positive from their modes alone:
+floor; the guarded cells are the active ones, or the overset receivers
+after a transfer. Most cells it proves positive from their modes alone:
 
 - Mode 0 is the constant a_0 = 1/2 at every node, and mode p >= 1 is at
   most a_p = max_q |V_qp| in magnitude (``Basis.node_V_max``). So every
@@ -61,7 +62,7 @@ floor. Most cells it proves positive from their modes alone:
   and the box's pressure bound applies. (Pressure is concave in the
   conserved variables, so p(mean) >= min_q p_q as well.)
 
-The guard tests means and nodes, and repairs, only the active cells
+The guard tests means and nodes, and repairs, only the guarded cells
 that are not proven.
 """
 
@@ -224,8 +225,9 @@ def _proven_positive(disc, coeffs, rho_floor, p_floor):
     return (lo_rho > rho_floor) & (p_lo > p_floor)
 
 
-def positivity_guard(disc, coeffs, rho_floor=1e-8, p_floor=1e-10):
-    """Emergency fallback keeping every active cell's state physical.
+def positivity_guard(disc, coeffs, cells=None, rho_floor=1e-8,
+                     p_floor=1e-10):
+    """Emergency fallback keeping every guarded cell's state physical.
 
     A cell whose mean density or pressure is non-finite or below the
     floor is rebuilt as a constant cell with floored values; a cell
@@ -233,24 +235,30 @@ def positivity_guard(disc, coeffs, rho_floor=1e-8, p_floor=1e-10):
     (``Basis.node_V``: the volume and face quadrature nodes) has its
     non-constant modes halved, at most 60 times, until the dip
     disappears.  A no-op on physical states, so steady solutions are
-    untouched.  Only active cells are read or changed.  Returns the
-    number of cell repairs made.
+    untouched.  Only the guarded cells are read or changed: ``cells``,
+    a pair of index arrays (the overset receivers), or the active cells
+    when None.  Returns the number of cell repairs made.
 
-    Cells that their modes prove positive (``_proven_positive``) are
-    left alone without evaluating a node or a mean: their node values
-    and means clear both floors (module docstring). The mean test, the
-    rebuild and the halving passes gather the other active cells, each
-    halving pass after the first only the cells the pass before shrank.
-    Repairs and coefficients are those of testing every active cell.
+    Cells that their modes prove positive (``_proven_positive``; given
+    ``cells`` are gathered first) are left alone without evaluating a
+    node or a mean (module docstring). The mean test, the rebuild and
+    the halving passes gather the cells not proven, each halving pass
+    after the first only the cells the pass before shrank.  Repairs and
+    coefficients are those of testing every guarded cell.
     """
     gas = disc.gas
     v = slice(None)
     repaired = 0
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        cells = np.nonzero(disc.active_mask
-                           & ~_proven_positive(disc, coeffs, rho_floor,
-                                               p_floor))
+        if cells is None:
+            cells = np.nonzero(disc.active_mask
+                               & ~_proven_positive(disc, coeffs, rho_floor,
+                                                   p_floor))
+        else:
+            weak = ~_proven_positive(disc, coeffs[(v, *cells)], rho_floor,
+                                     p_floor)
+            cells = tuple(ix[weak] for ix in cells)
         if cells[0].size == 0:
             return 0
         means = disc.cell_means(coeffs[(v, *cells)], cells)

@@ -11,7 +11,7 @@ def test_defaults_complete():
     assert cfg["solver.fine_order"] == 4
     assert cfg["solver.background_flux"] == "lax_friedrichs"
     assert cfg["solver.overset_flux"] == "slau2"
-    assert cfg["overset.fringe_width"] == 2
+    assert cfg["overset.fringe_width"] == 1
 
 
 def test_overrides_win_over_file(tmp_path):

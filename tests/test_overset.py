@@ -2,6 +2,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from machstem import dg
 from machstem.basis import Basis, FACE_W, FACE_E, FACE_S, FACE_N
@@ -9,6 +10,9 @@ from machstem.dg import Discretization
 from machstem.errors import AssemblyError
 from machstem.gas import GasModel, conserved, free_stream
 from machstem.mesh import GridBlock, TAG_INTERFACE, TAG_INFLOW, TAG_OUTFLOW
+from machstem.stabilization import (Stabilizer, _dips_below_floors,
+                                    make_limiter_hook)
+from machstem.timestepping import System, march_to_steady
 from machstem.overset import (PointLocator, _newton_rs, points_in_footprint,
                               covered_elements, erosion_depth,
                               classify_background, overset_fringe,
@@ -209,6 +213,46 @@ def test_erosion_depth_fully_covered_uses_border_distance():
     assert d[5, 4] == 1 and d[2, 4] == 1
 
 
+def front_and_grow_depth(covered):
+    """Reference erosion depth: a front of the covered elements with an
+    uncovered 4-neighbour in the grid, grown one 4-neighbour layer at a
+    time; a fully covered grid counts the index distance from the
+    border."""
+    ni, nj = covered.shape
+    depth = np.zeros((ni, nj), int)
+    if not covered.any():
+        return depth
+    if covered.all():
+        ii, jj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
+        return np.minimum(np.minimum(ii, ni - 1 - ii),
+                          np.minimum(jj, nj - 1 - jj)) + 1
+    pad = np.pad(covered, 1, mode="edge")
+    front = covered & ~(pad[:-2, 1:-1] & pad[2:, 1:-1]
+                        & pad[1:-1, :-2] & pad[1:-1, 2:])
+    depth[front] = 1
+    cur, d = front, 1
+    while True:
+        padc = np.pad(cur, 1, constant_values=False)
+        nxt = covered & (depth == 0) & (padc[:-2, 1:-1] | padc[2:, 1:-1]
+                                        | padc[1:-1, :-2] | padc[1:-1, 2:])
+        if not nxt.any():
+            return depth
+        d += 1
+        depth[nxt] = d
+        cur = nxt
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 13), st.integers(1, 13), st.data())
+def test_erosion_depth_matches_front_and_grow_loop(ni, nj, data):
+    cells = data.draw(st.one_of(
+        st.just([True] * (ni * nj)),
+        st.lists(st.booleans(), min_size=ni * nj, max_size=ni * nj)))
+    covered = np.array(cells, bool).reshape(ni, nj)
+    assert np.array_equal(erosion_depth(covered),
+                          front_and_grow_depth(covered))
+
+
 def test_classify_background_bands():
     bg = cartesian_block(20, 20, 0.0, 1.0, 0.0, 1.0)
     ov = cartesian_block(12, 12, 0.2, 0.8, 0.2, 0.8, tags=interface_tags())
@@ -249,7 +293,7 @@ def test_transfer_requires_active_donors():
     all_fringe = np.full((12, 12), STATUS_FRINGE)
     fringe_mask = classify_background(bg, ov) == STATUS_FRINGE
     with pytest.raises(AssemblyError, match="not active"):
-        TransferOp(bgd, fringe_mask, ovd, donor_status=all_fringe)
+        TransferOp(bgd, fringe_mask, ovd, all_fringe, "background fringe")
 
 
 def coincident_assembly(order=1):
@@ -351,7 +395,7 @@ def test_transfer_matches_projection_of_donor_solution():
     for op, donor_c, recv_c in ((asm.to_bg, ov_c, bg_c),
                                 (asm.to_ov, bg_c, ov_c)):
         fringe = np.zeros(recv_c.shape[1:3], bool)
-        fringe[op.fringe_idx[:, 0], op.fringe_idx[:, 1]] = True
+        fringe[op.cells] = True
         ref = project_between(CompositeSampler([op.donor], [donor_c]),
                               op.receiver)
         out = recv_c.copy()
@@ -459,3 +503,82 @@ def test_pool_matches_serial_on_a_partly_active_assembly(monkeypatch):
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     assert not np.array_equal(got[0], start[0])
+
+
+def shock_assembly(order=4, **kw):
+    """An inflow channel with a sheared patch deep enough for holes."""
+    q = free_stream(3.0, GAS)
+    bg = cartesian_block(30, 20, 0.0, 1.5, 0.0, 1.0,
+                         tags={FACE_W: TAG_INFLOW})
+    ov = sheared_block(18, 14, 0.4, 1.1, 0.2, 0.8, shear=0.12,
+                       tags=interface_tags())
+    bgd = Discretization(bg, Basis(order), GAS, flux="lax_friedrichs",
+                         bc_state=q)
+    ovd = Discretization(ov, Basis(order), GAS, flux="slau2", bc_state=q)
+    return OversetAssembly(bgd, ovd, **kw)
+
+
+def jump(x, y, high=(1.0, 10.0), low=(1e-3, 1e-3)):
+    """Density and pressure jumping at x = 0.73, fluid at rest."""
+    near = x < 0.73
+    rho = np.where(near, high[0], low[0])
+    p = np.where(near, high[1], low[1])
+    return conserved(rho, 0.0 * x, 0.0 * x, p, GAS)
+
+
+def test_transfer_guards_receivers_of_a_strong_jump():
+    """P4 donors holding a strong density and pressure jump across the
+    fringe, constant in each element so that every donor value is
+    admissible: the projection onto a receiver the jump crosses dips
+    below the floors, and the transfer's guard leaves no receiver
+    below them at a guard node, changing no active element."""
+    asm = shock_assembly()
+    coeffs = []
+    for d in (asm.bg, asm.ov):
+        c = np.zeros((4, d.block.ni, d.block.nj, d.basis.n_modes))
+        cx, cy = np.moveaxis(d.block.element_centroids(), -1, 0)
+        c[..., 0] = 2.0 * jump(cx, cy)          # mode-0 value is 1/2
+        coeffs.append(c)
+    before = [c.copy() for c in coeffs]
+    asm.transfer(coeffs)
+    for (d, cells), c, b in zip(asm.receivers, coeffs, before):
+        vals = np.tensordot(d.basis.node_V, c[(slice(None), *cells)],
+                            (1, -1))
+        dips = _dips_below_floors(vals.swapaxes(0, 1), GAS, 1e-8, 1e-10)
+        assert not dips.any()
+        assert np.array_equal(c[:, d.active_mask], b[:, d.active_mask])
+    assert min(asm.receiver_repairs) > 0
+
+
+def faces_an_active_element(status):
+    active = np.pad(status == STATUS_ACTIVE, 1)
+    return (active[:-2, 1:-1] | active[2:, 1:-1]
+            | active[1:-1, :-2] | active[1:-1, 2:])
+
+
+def test_second_fringe_layer_changes_no_active_state():
+    """The default single background fringe layer is the one the active
+    elements read through their faces; a two-block march with a second
+    layer gives the same active coefficients and history, bit for bit."""
+    def march(**kw):
+        asm = shock_assembly(order=2, **kw)
+        discs = [asm.bg, asm.ov]
+        stabs = [Stabilizer(mode="off", positivity=True),
+                 Stabilizer(mode="indicator", positivity=True)]
+        system = System(discs, transfer=asm.transfer,
+                        limiter=make_limiter_hook(discs, stabs))
+        coeffs = [d.project(lambda x, y: jump(x, y, (1.9, 5.0), (1.0, 1.0)))
+                  for d in discs]
+        res = march_to_steady(system, coeffs, max_iterations=15, tol=1e-14)
+        return asm, [c[:, d.active_mask] for d, c in zip(discs, coeffs)], \
+            np.array(res.history)
+
+    one, two = march(), march(fringe_width=2)
+    status = [run[0].status_bg for run in (one, two)]
+    assert faces_an_active_element(status[0])[status[0] == STATUS_FRINGE].all()
+    second = (status[1] == STATUS_FRINGE) & (status[0] == STATUS_HOLE)
+    assert second.any()
+    assert not faces_an_active_element(status[1])[second].any()
+    for a, b in zip(one[1], two[1]):
+        assert np.array_equal(a, b)
+    assert np.array_equal(one[2], two[2]) and len(one[2]) == 15

@@ -232,8 +232,10 @@ def test_pipeline_smoke_rr_then_restart(tmp_path, monkeypatch):
     assert first.measurement["classification"] == "RR"
     assert verify_manifest(first.run_dir)[1] == []
     inv = first.invariants
-    # measured: the patch is limited
+    # measured: the patch is limited; the receivers are guarded
     assert inv["overset_limiter_activations"] > 0
+    assert {"background_receiver_repairs",
+            "overset_receiver_repairs"} <= set(inv)
     result = json.loads((first.run_dir / "result.json").read_text())
     assert result["invariants"]["overset_limiter_activations"] == \
         inv["overset_limiter_activations"]
@@ -260,6 +262,51 @@ def test_pipeline_smoke_rr_then_restart(tmp_path, monkeypatch):
     assert [d.block.name for d in loaded_discs] == ["background", "overset"]
     assert np.array_equal(loaded_discs[1].block.vertices,
                           fines[0].discs[1].block.vertices)
+
+
+# the reduced-resolution probe grids of ROADMAP item 2: 80x40 P1 for
+# 6000 coarse iterations, then a 40x20 background and a 48x32 patch at
+# P2 for 3000 (fine t = 0.42 at 24 deg)
+PROBE = {
+    "case.coarse_grid": "80x40",
+    "case.fine_background_grid": "40x20",
+    "case.overset_grid": "48x32",
+    "solver.fine_order": "2",
+    "solver.coarse_max_iterations": "6000",
+    "solver.fine_max_iterations": "3000",
+    "solver.stall_window": "0",
+    "solver.log_every": "0",
+    "measurement.n_lines": "60",
+    "measurement.nx": "600",
+    "output.vtk": "0",
+}
+# stem height ratios of these runs at 23.8, 24.0 and 24.2 deg: 0.06896,
+# 0.06864 and 0.06832 (MR at each; the stem has not settled by t = 0.42)
+MR_STEM_BAND = (0.0683, 0.0690)
+
+
+@pytest.mark.slow
+def test_pipeline_reads_mach_reflection_at_24_deg(tmp_path, monkeypatch):
+    """The first end-to-end Mach reflection: 24 deg, beyond detachment
+    (21.458 deg at M=3), on the probe grids; about a minute on two CPUs.
+    A subsonic strip sits at the wall, and the stem lies in the band the
+    neighbouring angles span."""
+    measured = []
+    measure_stem = pipeline.measure_stem
+
+    def recording(*args, **kwargs):
+        measured.append(measure_stem(*args, **kwargs))
+        return measured[-1]
+
+    monkeypatch.setattr(pipeline, "measure_stem", recording)
+    cfg = parse_config(None, overrides=dict(
+        PROBE, **{"case.wedge_angle_deg": "24"}))
+    run = run_pipeline(cfg, run_dir=tmp_path / "mr", reuse=False)
+    assert run.measurement["classification"] == "MR"
+    assert measured[0].diagnostics["strip_min_mach"][0] < 1.0
+    lo, hi = MR_STEM_BAND
+    assert lo <= run.measurement["stem_height_ratio"] <= hi
+    assert verify_manifest(run.run_dir)[1] == []
 
 
 @pytest.mark.parametrize("damage", ["", '{"outputs": {"result.json": '])
