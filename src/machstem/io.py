@@ -138,8 +138,12 @@ def write_sweep_table(path, rows):
     the gnuplot table of the same name ending in ``.dat``.
 
     An entry is a measurement document or an error string.  The CSV
-    shows ``RR``, the MR stem height ratio to 4 decimals or the error;
-    the gnuplot table the MR ratios at full precision, NaN elsewhere.
+    shows ``RR``, the MR stem height ratio to 4 decimals or the error,
+    then each branch's stem in cells and lowest strip's Mach number to 3
+    decimals, empty where the entry has none (an error, the stem of RR,
+    a document written before they were recorded).  The gnuplot table
+    shows the ratios, stems in cells and Mach numbers at full precision,
+    NaN where they are empty.
     """
     def text(entry):
         if isinstance(entry, str):
@@ -148,21 +152,29 @@ def write_sweep_table(path, rows):
             return "RR"
         return f"{entry['stem_height_ratio']:.4f}"
 
-    def ratio(entry):
-        if isinstance(entry, dict) and entry["classification"] == "MR":
-            return entry["stem_height_ratio"]
-        return float("nan")
+    def number(entry, key):
+        value = entry.get(key) if isinstance(entry, dict) else None
+        return float("nan") if value is None else value
 
+    extra = ("stem_cells", "strip_min_mach")
     with open(path, "w", newline="") as f:
         out = csv.writer(f, lineterminator="\n")
-        out.writerow(["wedge_angle_deg", "impulsive_start", "restart_chain"])
+        out.writerow(["wedge_angle_deg", "impulsive_start", "restart_chain",
+                      "impulsive_stem_cells", "impulsive_strip_min_mach",
+                      "restart_stem_cells", "restart_strip_min_mach"])
         for a, imp, rst in rows:
-            out.writerow([f"{a:.2f}", text(imp), text(rst)])
+            values = (number(e, key) for e in (imp, rst) for key in extra)
+            out.writerow([f"{a:.2f}", text(imp), text(rst)]
+                         + ["" if np.isnan(v) else f"{v:.3f}" for v in values])
     write_gnuplot_dat(Path(path).with_suffix(".dat"),
-                      [[r[0] for r in rows], [ratio(r[1]) for r in rows],
-                       [ratio(r[2]) for r in rows]],
+                      [[r[0] for r in rows]]
+                      + [[number(r[b], key) for r in rows]
+                         for key in ("stem_height_ratio",) + extra
+                         for b in (1, 2)],
                       ["wedge_angle_deg", "stem_ratio_impulsive",
-                       "stem_ratio_restart"])
+                       "stem_ratio_restart", "stem_cells_impulsive",
+                       "stem_cells_restart", "strip_min_mach_impulsive",
+                       "strip_min_mach_restart"])
 
 
 def write_field_slice_dat(path, sampler, gas, y, x_range, n=800):

@@ -33,6 +33,11 @@ receiver's guard nodes.
 All donor lookups invert the bilinear element mapping with Newton
 iteration, seeded by a centroid k-d tree and finished by a structured
 walk, so points are located robustly even on stretched sheared grids.
+Each point is tried in the element of its nearest centroid first, which
+contains almost every point; the other k-d candidates, in order, are
+tried only for the points the nearer ones miss, and the walk takes the
+rest.  A Newton solve stops once an iteration leaves (r, s) exactly
+unchanged, so a point costs about one solve of a few iterations.
 """
 
 from __future__ import annotations
@@ -68,20 +73,26 @@ def boundary_polygon(block):
 
 
 def points_in_footprint(block, pts):
-    """Crossing-number test of points against the block's perimeter."""
+    """Crossing-number test of points against the block's perimeter.
+
+    The points are sorted by y once, and each edge is tested only against
+    the band of points with min(y0, y1) <= y < max(y0, y1), the ones
+    whose horizontal ray it can cross.
+    """
     poly = boundary_polygon(block)
     x, y = np.asarray(pts, float).reshape(-1, 2).T
+    order = np.argsort(y, kind="stable")
+    xs, ys = x[order], y[order]
     x0, y0 = poly[:-1, 0], poly[:-1, 1]
     x1, y1 = poly[1:, 0], poly[1:, 1]
+    lo = np.searchsorted(ys, np.minimum(y0, y1))
+    hi = np.searchsorted(ys, np.maximum(y0, y1))
     inside = np.zeros(x.shape, bool)
-    for a0, b0, a1, b1 in zip(x0, y0, x1, y1):
-        crosses = (b0 > y) != (b1 > y)
-        if not np.any(crosses):
-            continue
-        xc = a0 + (y[crosses] - b0) / (b1 - b0) * (a1 - a0)
-        hit = np.zeros(x.shape, bool)
-        hit[crosses] = x[crosses] < xc
-        inside ^= hit
+    for a0, b0, a1, b1, m, n in zip(x0, y0, x1, y1, lo, hi):
+        if m < n:
+            xc = a0 + (ys[m:n] - b0) / (b1 - b0) * (a1 - a0)
+            inside[m:n] ^= xs[m:n] < xc
+    inside[order] = inside.copy()
     return inside.reshape(np.asarray(pts).shape[:-1])
 
 
@@ -97,22 +108,39 @@ def _bilinear_coeffs(block):
 def _newton_rs(a, b, c, d, pts, iters=12):
     """Invert x = a + b r + c s + d r s for each (point, element) pair.
 
-    All inputs are stacked arrays of matching leading shape; returns (r, s).
+    All inputs are stacked arrays of matching shape (..., 2); returns
+    (r, s), those of ``iters`` iterations from (0, 0).  A pair leaves the
+    loop once an iteration leaves its (r, s) exactly unchanged, since
+    every later iteration would repeat the same arithmetic.  (r, s)
+    never become -0.0 (a sum is -0.0 only if both terms are), so equal
+    values are equal bits.
     """
-    r = np.zeros(pts.shape[:-1])
-    s = np.zeros(pts.shape[:-1])
+    shape = pts.shape[:-1]
+    a, b, c, d, pts = (np.reshape(v, (-1, 2)) for v in (a, b, c, d, pts))
+    n = len(pts)
+    r_out, s_out = np.zeros(n), np.zeros(n)
+    r, s, live = np.zeros(n), np.zeros(n), np.arange(n)
     for _ in range(iters):
-        xr = b + d * s[..., None]
-        xs = c + d * r[..., None]
-        res = pts - (a + b * r[..., None] + c * s[..., None]
-                     + d * (r * s)[..., None])
-        det = xr[..., 0] * xs[..., 1] - xr[..., 1] * xs[..., 0]
+        xr = b + d * s[:, None]
+        xs = c + d * r[:, None]
+        res = pts - (a + b * r[:, None] + c * s[:, None]
+                     + d * (r * s)[:, None])
+        det = xr[:, 0] * xs[:, 1] - xr[:, 1] * xs[:, 0]
         det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-        dr = (res[..., 0] * xs[..., 1] - res[..., 1] * xs[..., 0]) / det
-        ds = (xr[..., 0] * res[..., 1] - xr[..., 1] * res[..., 0]) / det
-        r = np.clip(r + dr, -3.0, 3.0)
-        s = np.clip(s + ds, -3.0, 3.0)
-    return r, s
+        dr = (res[:, 0] * xs[:, 1] - res[:, 1] * xs[:, 0]) / det
+        ds = (xr[:, 0] * res[:, 1] - xr[:, 1] * res[:, 0]) / det
+        r_new = np.clip(r + dr, -3.0, 3.0)
+        s_new = np.clip(s + ds, -3.0, 3.0)
+        r_out[live], s_out[live] = r_new, s_new
+        moving = (r_new != r) | (s_new != s)
+        if moving.all():
+            r, s = r_new, s_new
+            continue
+        live, a, b, c, d, pts, r, s = (
+            v[moving] for v in (live, a, b, c, d, pts, r_new, s_new))
+        if not live.size:
+            break
+    return r_out.reshape(shape), s_out.reshape(shape)
 
 
 class PointLocator:
@@ -143,23 +171,33 @@ class PointLocator:
         nj = self.block.nj
         _, cand = self.tree.query(pts, k=self.k)
         cand = cand.reshape(n, self.k)
-        af = self.a.reshape(-1, 2)[cand]
-        bf = self.b.reshape(-1, 2)[cand]
-        cf = self.c.reshape(-1, 2)[cand]
-        df = self.d.reshape(-1, 2)[cand]
-        r, s = _newton_rs(af, bf, cf, df, pts[:, None, :])
-        good = (np.abs(r) <= 1.0 + tol) & (np.abs(s) <= 1.0 + tol)
-        # residual check guards against false Newton fixed points
-        res = pts[:, None, :] - (af + bf * r[..., None] + cf * s[..., None]
-                                 + df * (r * s)[..., None])
-        scale = np.sqrt(self._area[cand])
-        good &= np.hypot(res[..., 0], res[..., 1]) <= 1e-8 * np.maximum(
-            scale, 1e-12)
-        first = np.argmax(good, axis=1)
-        found = good[np.arange(n), first]
-        pick = cand[np.arange(n), first]
+        # the candidates in k-d order, each only for the points every
+        # nearer one missed: the first that contains a point takes it
+        pick = cand[:, 0].copy()
+        rs = np.zeros((n, 2))
+        found = np.zeros(n, bool)
+        todo = np.arange(n)
+        for col in range(self.k):
+            e = cand[todo, col]
+            af, bf, cf, df = (v.reshape(-1, 2)[e]
+                              for v in (self.a, self.b, self.c, self.d))
+            p = pts[todo]
+            r, s = _newton_rs(af, bf, cf, df, p)
+            good = (np.abs(r) <= 1.0 + tol) & (np.abs(s) <= 1.0 + tol)
+            # residual check guards against false Newton fixed points
+            res = p - (af + bf * r[:, None] + cf * s[:, None]
+                       + df * (r * s)[:, None])
+            scale = np.sqrt(self._area[e])
+            good &= np.hypot(res[:, 0], res[:, 1]) <= 1e-8 * np.maximum(
+                scale, 1e-12)
+            hit = todo[good]
+            found[hit] = True
+            pick[hit] = e[good]
+            rs[hit] = np.column_stack([r[good], s[good]])
+            todo = todo[~good]
+            if not todo.size:
+                break
         ij = np.column_stack([pick // nj, pick % nj])
-        rs = np.column_stack([r[np.arange(n), first], s[np.arange(n), first]])
 
         missing = ~found
         if np.any(missing):
@@ -327,12 +365,16 @@ class TransferOp:
                            + ij[:, 1]).reshape(nf, nq)
         self.donor_basis = donor_disc.basis.eval_modes(
             rs[:, 0], rs[:, 1]).reshape(nf, nq, -1)
-        # receiver projection: coeffs = Minv @ V^T diag(w * detJ), built
-        # transposed, one (nf, Np) row stack per quadrature node
-        wdet = rb.vol_weights[:, None] * geo.detJ[fringe_mask].T    # (nq, nf)
-        rows = receiver_disc.inverse_mass(
-            rb.vol_V[:, None, :] * wdet[..., None], fringe_mask)
-        self.proj = np.ascontiguousarray(rows.transpose(1, 2, 0))
+        # receiver projection: coeffs = Minv @ V^T diag(w * detJ), with
+        # Minv = V_g^T diag(minv_scale) V_g as in ``inverse_mass``, built
+        # transposed, one (nq, Np) stack per receiver: the receiver is
+        # the batch axis, so its row does not depend on the other
+        # receivers
+        wdet = rb.vol_weights * geo.detJ[fringe_mask]               # (nf, nq)
+        Vg = rb.gauss_V
+        rows = ((rb.vol_V * wdet[..., None]) @ Vg.T
+                * geo.minv_scale[fringe_mask][:, None, :]) @ Vg
+        self.proj = np.ascontiguousarray(rows.transpose(0, 2, 1))
         # contraction orders, found once from the operand shapes;
         # zero-stride stand-ins take the place of the per-call operands
         def path(subscripts, fixed, call_shape):

@@ -530,12 +530,20 @@ class RunSummary:
 
 
 def _measurement_doc(measurement):
+    """The measurement as ``result.json`` records it.  ``stem_cells`` is
+    the stem height over the cell size the measurement resolved (null
+    for RR), ``strip_min_mach`` the least Mach number behind the lowest
+    line's front: a stem near one cell, or a lowest strip near Mach 1,
+    reads RR or MR by resolution."""
     if measurement is None:
         return {"classification": "none"}
+    diag = measurement.diagnostics
+    tp = measurement.triple_point
     return {"classification": measurement.classification,
             "stem_height_ratio": measurement.stem_height_ratio,
-            "triple_point": (list(measurement.triple_point)
-                             if measurement.triple_point else None)}
+            "triple_point": list(tp) if tp else None,
+            "stem_cells": tp[1] / diag["cell_size"] if tp else None,
+            "strip_min_mach": float(diag["strip_min_mach"][0])}
 
 
 def load_cached_run(run_dir):

@@ -224,7 +224,7 @@ def measure_stem(sampler, case, *, cell_size, n_lines=120, nx=1200):
         peaks.append(g1)
         strip_mach.append(_least_mach(q[:, strip], case.gas))
     diag = {"front_points": np.array(pts), "peak_gradients": np.array(peaks),
-            "strip_min_mach": np.array(strip_mach)}
+            "strip_min_mach": np.array(strip_mach), "cell_size": cell_size}
     if len(pts) < max(8, n_lines // 3):
         raise MeasurementError(
             f"shock front detected on only {len(pts)} of {n_lines} sampling "

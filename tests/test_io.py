@@ -91,6 +91,33 @@ def test_gnuplot_dat(tmp_path):
     assert lines[1].split() == ["0", "2"]
 
 
+def test_sweep_table_shows_stem_cells_and_lowest_strip_mach(tmp_path):
+    mr = {"classification": "MR", "stem_height_ratio": 0.0686,
+          "triple_point": [1.31, 0.0686], "stem_cells": 3.43,
+          "strip_min_mach": 0.6204}
+    rr = {"classification": "RR", "stem_height_ratio": None,
+          "triple_point": None, "stem_cells": None, "strip_min_mach": 1.2745}
+    path = tmp_path / "sweep.csv"
+    io.write_sweep_table(path, [(24.0, mr, "error: diverged"),
+                                (20.5, rr, mr)])
+    lines = path.read_text().splitlines()
+    assert lines[0] == ("wedge_angle_deg,impulsive_start,restart_chain,"
+                        "impulsive_stem_cells,impulsive_strip_min_mach,"
+                        "restart_stem_cells,restart_strip_min_mach")
+    assert lines[1:] == ["24.00,0.0686,error: diverged,3.430,0.620,,",
+                         "20.50,RR,0.0686,,1.274,3.430,0.620"]
+    dat = path.with_suffix(".dat").read_text().splitlines()
+    assert dat[0].split()[1:] == [
+        "wedge_angle_deg", "stem_ratio_impulsive", "stem_ratio_restart",
+        "stem_cells_impulsive", "stem_cells_restart",
+        "strip_min_mach_impulsive", "strip_min_mach_restart"]
+    nan = float("nan")
+    np.testing.assert_array_equal(
+        np.loadtxt(path.with_suffix(".dat")),
+        [[24.0, 0.0686, nan, 3.43, nan, 0.6204, nan],
+         [20.5, nan, 0.0686, nan, 3.43, 1.2745, 0.6204]])
+
+
 def test_manifest_verify(tmp_path):
     case = FlowCase(mach=3.0, wedge_angle_deg=24.0)
     man = io.RunManifest(tmp_path, io.case_to_params(case), {"solver.cfl": 0.3})

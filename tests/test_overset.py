@@ -13,7 +13,9 @@ from machstem.mesh import GridBlock, TAG_INTERFACE, TAG_INFLOW, TAG_OUTFLOW
 from machstem.stabilization import (Stabilizer, _dips_below_floors,
                                     make_limiter_hook)
 from machstem.timestepping import System, march_to_steady
+from machstem.wedge import FlowCase, build_wedge_grid
 from machstem.overset import (PointLocator, _newton_rs, points_in_footprint,
+                              boundary_polygon,
                               covered_elements, erosion_depth,
                               classify_background, overset_fringe,
                               TransferOp, OversetAssembly, CompositeSampler,
@@ -184,6 +186,145 @@ def test_footprint_crossing_test():
     inside = points_in_footprint(blk, pts)
     # x range at y: [1 + 0.2 y, 3 + 0.2 y]
     assert list(inside) == [True, True, False, False, True]
+
+
+def reference_newton_rs(a, b, c, d, pts, iters=12):
+    """Newton on every pair for all ``iters`` iterations, broadcasting
+    its inputs: the solve ``_newton_rs`` must reproduce bit for bit."""
+    r = np.zeros(pts.shape[:-1])
+    s = np.zeros(pts.shape[:-1])
+    for _ in range(iters):
+        xr = b + d * s[..., None]
+        xs = c + d * r[..., None]
+        res = pts - (a + b * r[..., None] + c * s[..., None]
+                     + d * (r * s)[..., None])
+        det = xr[..., 0] * xs[..., 1] - xr[..., 1] * xs[..., 0]
+        det = np.where(np.abs(det) < 1e-300, 1e-300, det)
+        dr = (res[..., 0] * xs[..., 1] - res[..., 1] * xs[..., 0]) / det
+        ds = (xr[..., 0] * res[..., 1] - xr[..., 1] * res[..., 0]) / det
+        r = np.clip(r + dr, -3.0, 3.0)
+        s = np.clip(s + ds, -3.0, 3.0)
+    return r, s
+
+
+def reference_locate(loc, pts, tol=1e-9, clamp=False):
+    """Newton in all k-d candidates of every point at once, the first
+    candidate that contains the point taking it, then the walk for the
+    rest: the result ``PointLocator.locate`` must reproduce bit for bit."""
+    pts = np.asarray(pts, float).reshape(-1, 2)
+    n, nj = len(pts), loc.block.nj
+    cand = loc.tree.query(pts, k=loc.k)[1].reshape(n, loc.k)
+    af, bf, cf, df = (v.reshape(-1, 2)[cand]
+                      for v in (loc.a, loc.b, loc.c, loc.d))
+    r, s = reference_newton_rs(af, bf, cf, df, pts[:, None, :])
+    good = (np.abs(r) <= 1.0 + tol) & (np.abs(s) <= 1.0 + tol)
+    res = pts[:, None, :] - (af + bf * r[..., None] + cf * s[..., None]
+                             + df * (r * s)[..., None])
+    scale = np.sqrt(loc._area[cand])
+    good &= np.hypot(res[..., 0], res[..., 1]) <= 1e-8 * np.maximum(
+        scale, 1e-12)
+    first = np.argmax(good, axis=1)
+    rows = np.arange(n)
+    found = good[rows, first]
+    pick = cand[rows, first]
+    ij = np.column_stack([pick // nj, pick % nj])
+    rs = np.column_stack([r[rows, first], s[rows, first]])
+    missing = ~found
+    if missing.any():
+        fi, fj, fr, fs, ffound = loc._walk(pts[missing], pick[missing], tol)
+        ij[missing] = np.column_stack([fi, fj])
+        rs[missing] = np.column_stack([fr, fs])
+        found[missing] = ffound
+    lim = 1.0 if clamp else 1.0 + tol
+    return found, ij, np.clip(rs, -lim, lim)
+
+
+def reference_footprint(block, pts):
+    """Every perimeter edge against every point."""
+    poly = boundary_polygon(block)
+    x, y = np.asarray(pts, float).reshape(-1, 2).T
+    inside = np.zeros(x.shape, bool)
+    for (a0, b0), (a1, b1) in zip(poly[:-1], poly[1:]):
+        crosses = (b0 > y) != (b1 > y)
+        xc = a0 + (y[crosses] - b0) / (b1 - b0) * (a1 - a0)
+        hit = np.zeros(x.shape, bool)
+        hit[crosses] = x[crosses] < xc
+        inside ^= hit
+    return inside.reshape(np.asarray(pts).shape[:-1])
+
+
+LOCATE_BLOCKS = {
+    "stretched": stretched_sheared_block(),
+    "sheared": sheared_block(9, 7, 0.0, 2.0, 0.0, 1.0, shear=0.3),
+    "wedge": build_wedge_grid(FlowCase(mach=3.0, wedge_angle_deg=24.0),
+                              30, 15),
+}
+
+
+def mapped(loc, i, j, r, s):
+    """Physical points of reference points (r, s) in elements (i, j)."""
+    a, b, c, d = (v[i, j] for v in (loc.a, loc.b, loc.c, loc.d))
+    return a + b * r[:, None] + c * s[:, None] + d * (r * s)[:, None]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(LOCATE_BLOCKS)), st.booleans(), st.data())
+def test_locate_matches_all_candidate_reference(kind, clamp, data):
+    """Points inside elements, on their shared edges (r or s exactly
+    +-1), at the vertices, midway along edges and around the block."""
+    blk = LOCATE_BLOCKS[kind]
+    loc = PointLocator(blk)
+    n = data.draw(st.integers(1, 30))
+
+    def draws(elements):
+        return np.array(data.draw(st.lists(elements, min_size=n,
+                                           max_size=n)))
+
+    ref_coord = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
+                          st.floats(-1.0, 1.0))
+    i, j = draws(st.integers(0, blk.ni - 1)), draws(st.integers(0, blk.nj - 1))
+    inside = mapped(loc, i, j, draws(ref_coord), draws(ref_coord))
+    vi, vj = draws(st.integers(0, blk.ni)), draws(st.integers(0, blk.nj))
+    corners = blk.vertices[vi, vj]
+    mids = 0.5 * (corners + blk.vertices[np.minimum(vi + 1, blk.ni), vj])
+    lo, hi = blk.vertices.min(axis=(0, 1)), blk.vertices.max(axis=(0, 1))
+    around = lo + (hi - lo) * draws(st.tuples(st.floats(-0.3, 1.3),
+                                              st.floats(-0.3, 1.3)))
+    pts = np.vstack([inside, corners, mids, around])
+    for got, want in zip(loc.locate(pts, clamp=clamp),
+                         reference_locate(loc, pts, clamp=clamp)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(points_in_footprint(blk, pts),
+                          reference_footprint(blk, pts))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(LOCATE_BLOCKS)), st.integers(0, 2**32 - 1))
+def test_newton_stopped_at_fixed_points_matches_twelve_iterations(kind,
+                                                                  seed):
+    """Pairs of points in their own elements, which converge or end in
+    a cycle of one ULP, and with random elements, whose (r, s) mostly
+    hit the +-3 clip: the early-stopped solve returns the bits of 12
+    full iterations."""
+    blk = LOCATE_BLOCKS[kind]
+    loc = PointLocator(blk)
+    rng = np.random.default_rng(seed)
+    n = 1000
+    i, j = rng.integers(0, blk.ni, n), rng.integers(0, blk.nj, n)
+    pts = mapped(loc, i, j, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+    ei = np.r_[i, rng.integers(0, blk.ni, n)]
+    ej = np.r_[j, rng.integers(0, blk.nj, n)]
+    pts = np.vstack([pts, pts])
+    coeffs = [v[ei, ej] for v in (loc.a, loc.b, loc.c, loc.d)]
+    r, s = _newton_rs(*coeffs, pts)
+    want = reference_newton_rs(*coeffs, pts)
+    assert np.array_equal(r, want[0]) and np.array_equal(s, want[1])
+    # the sample holds every kind of pair: one iteration fewer leaves
+    # the cycling pairs elsewhere, the converged and clipped ones alone
+    r11, s11 = reference_newton_rs(*coeffs, pts, iters=11)
+    cycling = (r11 != r) | (s11 != s)
+    clipped = (np.abs(r) == 3.0) | (np.abs(s) == 3.0)
+    assert cycling[:n].any() and (~cycling[:n]).any() and clipped[n:].any()
 
 
 def test_covered_elements_shrink_handles_shared_wall():
@@ -582,3 +723,17 @@ def test_second_fringe_layer_changes_no_active_state():
     for a, b in zip(one[1], two[1]):
         assert np.array_equal(a, b)
     assert np.array_equal(one[2], two[2]) and len(one[2]) == 15
+
+
+def test_projection_rows_do_not_depend_on_the_other_receivers():
+    """Each receiver's projection row is built with the receiver as the
+    batch axis: the background receivers that one and two fringe layers
+    share get the same rows, bit for bit."""
+    def rows(asm):
+        op = asm.to_bg
+        return dict(zip(zip(*(ix.tolist() for ix in op.cells)), op.proj))
+
+    one, two = rows(shock_assembly()), rows(shock_assembly(fringe_width=2))
+    assert set(one) < set(two)
+    for cell, row in one.items():
+        assert np.array_equal(row, two[cell])

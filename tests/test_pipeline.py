@@ -10,7 +10,7 @@ from machstem.config import parse_config
 from machstem.dg import Discretization
 from machstem.errors import AssemblyError, ConfigError
 from machstem.gas import GasModel, conserved
-from machstem.io import verify_manifest
+from machstem.io import RunManifest, verify_manifest, write_sweep_table
 from machstem.pipeline import (
     build_aligned_grid,
     fit_shock_paths,
@@ -20,7 +20,8 @@ from machstem.pipeline import (
     run_pipeline,
     save_checkpoint,
 )
-from machstem.wedge import FlowCase, top_profile, wedge_geometry
+from machstem.wedge import (FlowCase, StemMeasurement, top_profile,
+                           wedge_geometry)
 
 CELL = 0.02
 
@@ -230,6 +231,9 @@ def test_pipeline_smoke_rr_then_restart(tmp_path, monkeypatch):
     first = run_pipeline(parse_config(None, overrides=SMOKE),
                          run_dir=tmp_path / "impulsive", reuse=False)
     assert first.measurement["classification"] == "RR"
+    assert first.measurement["stem_cells"] is None
+    assert first.measurement["strip_min_mach"] == \
+        fines[0].measurement.diagnostics["strip_min_mach"][0]
     assert verify_manifest(first.run_dir)[1] == []
     inv = first.invariants
     # measured: the patch is limited; the receivers are guarded
@@ -303,10 +307,49 @@ def test_pipeline_reads_mach_reflection_at_24_deg(tmp_path, monkeypatch):
         PROBE, **{"case.wedge_angle_deg": "24"}))
     run = run_pipeline(cfg, run_dir=tmp_path / "mr", reuse=False)
     assert run.measurement["classification"] == "MR"
-    assert measured[0].diagnostics["strip_min_mach"][0] < 1.0
+    diag = measured[0].diagnostics
+    assert run.measurement["strip_min_mach"] == diag["strip_min_mach"][0] < 1.0
     lo, hi = MR_STEM_BAND
     assert lo <= run.measurement["stem_height_ratio"] <= hi
+    assert run.measurement["stem_cells"] == \
+        run.measurement["triple_point"][1] / diag["cell_size"] > 1.0
     assert verify_manifest(run.run_dir)[1] == []
+
+
+def test_measurement_doc_carries_stem_cells_and_lowest_strip_mach():
+    """A row near von Neumann reads RR or MR by resolution, so the
+    document carries the stem in cells and the lowest strip's Mach
+    number beside the classification."""
+    diag = {"strip_min_mach": np.array([0.62, 0.71, 1.4]), "cell_size": 0.02}
+    mr = pipeline._measurement_doc(
+        StemMeasurement("MR", 0.07, (1.25, 0.07), diag))
+    assert mr["stem_cells"] == 0.07 / 0.02
+    assert mr["strip_min_mach"] == 0.62
+    rr = pipeline._measurement_doc(StemMeasurement(
+        "RR", None, None, dict(diag, strip_min_mach=np.array([2.9, 3.0]))))
+    assert rr["stem_cells"] is None and rr["strip_min_mach"] == 2.9
+    assert json.loads(json.dumps([mr, rr])) == [mr, rr]
+
+
+def test_cached_result_without_the_new_keys_reads_them_as_null(tmp_path):
+    """A ``result.json`` recorded before the document carried
+    ``stem_cells`` and ``strip_min_mach`` is still a cache hit, and the
+    sweep table leaves those cells empty instead of raising."""
+    old = {"classification": "MR", "stem_height_ratio": 0.0686,
+           "triple_point": [1.31, 0.0686]}
+    (tmp_path / "result.json").write_text(json.dumps(
+        {"measurement": old, "invariants": {},
+         "coarse_outcome": "max_iterations",
+         "fine_outcome": "max_iterations"}))
+    manifest = RunManifest(tmp_path, {}, {})
+    manifest.record(tmp_path / "result.json")
+    manifest.finish()
+    summary = load_cached_run(tmp_path)
+    assert summary.measurement == old
+    write_sweep_table(tmp_path / "sweep.csv",
+                      [(24.0, summary.measurement, summary.measurement)])
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[1] == \
+        "24.00,0.0686,0.0686,,,,"
 
 
 @pytest.mark.parametrize("damage", ["", '{"outputs": {"result.json": '])
@@ -333,7 +376,12 @@ def test_sweep_end_to_end(tmp_path, monkeypatch):
         argv += ["--set", f"{key}={value}"]
     assert cli.main(argv) == 0
     table = (tmp_path / "sweep.csv").read_text()
-    assert table.splitlines()[1:] == ["16.00,RR,RR", "15.00,RR,RR"]
+    rows = [line.split(",") for line in table.splitlines()[1:]]
+    assert [row[:3] for row in rows] == [["16.00", "RR", "RR"],
+                                        ["15.00", "RR", "RR"]]
+    # no stem in cells for RR; every lowest strip supersonic
+    assert all(row[3] == row[5] == "" for row in rows)
+    assert all(float(row[4]) > 1.0 and float(row[6]) > 1.0 for row in rows)
     assert (tmp_path / "sweep.dat").is_file()
     runs = {}
     for run_dir in (tmp_path / "runs").iterdir():

@@ -363,7 +363,9 @@ def test_hysteresis_sweep_row_error_is_recorded(monkeypatch):
 
 def test_sweep_table_csv(tmp_path):
     """Rows without commas keep their bytes; an error with commas stays
-    one quoted field; the .dat has the MR ratios at full precision."""
+    one quoted field; the .dat has the MR ratios at full precision.
+    These documents carry no stem in cells or strip Mach number, so
+    those columns stay empty (NaN in the .dat)."""
     error = "error: flagged coarse cell at (1.234, 0.567) lies outside"
     rows = [(24.0, dict(MR, stem_height_ratio=0.27401234),
              dict(MR, stem_height_ratio=0.274)),
@@ -372,12 +374,11 @@ def test_sweep_table_csv(tmp_path):
     path = tmp_path / "sweep.csv"
     write_sweep_table(path, rows)
     lines = path.read_text().splitlines()
-    assert lines[:3] == ["wedge_angle_deg,impulsive_start,restart_chain",
-                         "24.00,0.2740,0.2740", "21.00,RR,0.0410"]
+    assert lines[1:3] == ["24.00,0.2740,0.2740,,,,", "21.00,RR,0.0410,,,,"]
     table = list(csv.reader(path.open(newline="")))
-    assert [len(r) for r in table] == [3, 3, 3, 3]
-    assert table[3] == ["19.60", error, "RR"]
+    assert [len(r) for r in table] == [7, 7, 7, 7]
+    assert table[3] == ["19.60", error, "RR", "", "", "", ""]
     dat = np.loadtxt(tmp_path / "sweep.dat")
-    assert dat[0].tolist() == [24.0, 0.27401234, 0.274]
+    assert dat[0, :3].tolist() == [24.0, 0.27401234, 0.274]
     assert np.isnan(dat[1, 1]) and dat[1, 2] == 0.041
-    assert np.isnan(dat[2, 1:]).all()
+    assert np.isnan(dat[2, 1:]).all() and np.isnan(dat[:, 3:]).all()
