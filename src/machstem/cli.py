@@ -16,8 +16,10 @@ the bits do not depend on the thread count.  Importing this module
 loads no numpy.
 
 Exit codes: 0 success, 2 configuration error, 3 divergence, 4 front
-measurement failure, 5 overset assembly failure.  A sweep writes a
-failed run into its table as ``error: ...`` and goes on.
+measurement failure or no shock system detected (the coarse stage
+flagged no cell), 5 overset assembly failure.  A run that fails writes
+no manifest, so it is never reused.  A sweep writes a failed run into
+its table as ``error: ...`` and goes on.
 """
 
 import argparse
@@ -122,18 +124,16 @@ def _cmd_pipeline(args):
     cfg = parse_config(args.config, overrides)
     log = None if args.quiet else print
     summary = run_pipeline(cfg, reuse=not args.fresh, on_log=log)
-    m = summary.measurement
+    res, m = summary.result, summary.measurement
     print(f"run directory: {summary.run_dir}"
           f"{'  (cached)' if summary.cached else ''}")
-    print(f"coarse stage: {summary.coarse_outcome}; "
-          f"fine stage: {summary.fine_outcome}")
+    print(f"coarse stage: {res['coarse_outcome']}; "
+          f"fine stage: {res['fine_outcome']}")
     if m["classification"] == "MR":
         print(f"Mach reflection, stem height / channel height = "
               f"{m['stem_height_ratio']:.4f}")
-    elif m["classification"] == "RR":
-        print("regular reflection (no stem)")
     else:
-        print("no shock system detected")
+        print("regular reflection (no stem)")
     return 0
 
 

@@ -37,6 +37,13 @@ class _Key:
     describe: str = ""
 
 
+def _grid_key(default):
+    # the inlet section, the wedge and the section behind it each need a
+    # column of their own
+    return _Key(_grid, default, lambda v: v[0] >= 3 and v[1] > 0,
+                "NIxNJ with NI >= 3 and NJ > 0")
+
+
 SCHEMA = {
     # flow case
     "case.mach": _Key(float, 3.0, lambda v: v > 1.0, "> 1"),
@@ -47,13 +54,9 @@ SCHEMA = {
                       (v.startswith("restart:") and len(v) > 8),
                       "'impulsive' or 'restart:<checkpoint dir>'"),
     "case.domain_length_factor": _Key(float, 3.0, lambda v: v > 0.0, "> 0"),
-    "case.coarse_grid": _Key(_grid, (200, 100),
-                             lambda v: v[0] > 0 and v[1] > 0, "NIxNJ"),
-    "case.fine_background_grid": _Key(_grid, (100, 50),
-                                      lambda v: v[0] > 0 and v[1] > 0,
-                                      "NIxNJ"),
-    "case.overset_grid": _Key(_grid, (96, 64),
-                              lambda v: v[0] > 0 and v[1] > 0, "NIxNJ"),
+    "case.coarse_grid": _grid_key((200, 100)),
+    "case.fine_background_grid": _grid_key((100, 50)),
+    "case.overset_grid": _grid_key((96, 64)),
     # solver
     "solver.coarse_order": _Key(int, 1, lambda v: v >= 1, ">= 1"),
     "solver.fine_order": _Key(int, 4, lambda v: v >= 1, ">= 1"),
@@ -161,8 +164,7 @@ def dump_config(cfg):
     return buf.getvalue()
 
 
-def case_from_config(cfg, gas=None):
-    from .gas import GasModel
+def case_from_config(cfg):
     from .wedge import FlowCase
     return FlowCase(
         mach=cfg["case.mach"],
@@ -171,5 +173,4 @@ def case_from_config(cfg, gas=None):
         domain_length_factor=cfg["case.domain_length_factor"],
         coarse_grid=cfg["case.coarse_grid"],
         fine_background_grid=cfg["case.fine_background_grid"],
-        overset_grid=cfg["case.overset_grid"],
-        gas=gas if gas is not None else GasModel())
+        overset_grid=cfg["case.overset_grid"])

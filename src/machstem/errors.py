@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Each error maps to a process exit code used by the command-line driver:
-configuration problems exit 2, divergence 3, measurement failures 4 and
-overset assembly failures 5.
+configuration problems exit 2, divergence 3, measurement failures (no
+shock system detected among them) 4 and overset assembly failures 5.
 """
 
 
@@ -25,7 +25,9 @@ class DivergenceError(MachstemError):
 
 
 class MeasurementError(MachstemError):
-    """Front extraction or classification could not produce an answer.
+    """Front extraction or classification could not produce an answer, or
+    there is nothing to measure: the coarse stage flagged no cell, so no
+    shock system was detected and no patch can be built.
 
     ``diagnostics`` carries intermediate data (the front points, their
     peak gradients and the least Mach number behind each) so a failed

@@ -22,6 +22,8 @@ from . import __version__
 from .gas import pressure
 from .overset import STATUS_ACTIVE, STATUS_FRINGE
 
+SLICE_POINTS = 800          # samples along a field slice
+
 
 def _element_samples(disc, coeffs, per_edge):
     """Sample the polynomial solution on an equispaced sub-grid per element."""
@@ -34,18 +36,16 @@ def _element_samples(disc, coeffs, per_edge):
     return pts, vals
 
 
-def write_vtk(path, disc, coeffs, gas, *, title="machstem field",
-              per_edge=None):
+def write_vtk(path, disc, coeffs, gas, *, title="machstem field"):
     """Legacy ASCII VTK STRUCTURED_GRID of the sampled DG solution.
 
-    Element interfaces carry duplicated points so inter-element jumps in
-    the discontinuous solution stay visible.
+    Each element is sampled on an equispaced (order + 1)^2 sub-grid, at
+    least 2 x 2.  Element interfaces carry duplicated points so
+    inter-element jumps in the discontinuous solution stay visible.
     """
-    if per_edge is None:
-        per_edge = max(2, disc.basis.order + 1)
+    m = max(2, disc.basis.order + 1)
     ni, nj = disc.block.ni, disc.block.nj
-    pts, vals = _element_samples(disc, coeffs, per_edge)
-    m = per_edge
+    pts, vals = _element_samples(disc, coeffs, m)
     nx, ny = ni * m, nj * m
 
     def grid_order(a):
@@ -84,19 +84,17 @@ def write_residual_csv(path, history):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_troubled_csv(path, entries):
-    """Troubled-cell export: rows of (block_id, i, j, indicator, flagged).
+def write_troubled_csv(path, name, ind, flagged):
+    """Troubled-cell export of block ``name``: rows of (block_id, i, j,
+    indicator, flagged).
 
-    `entries` is a list of (block_name, indicator_array, flagged_array).
     Only flagged or nonzero-indicator cells are listed to keep the file
     proportional to the shock system, not the grid.
     """
     lines = ["block_id,i,j,indicator_value,flagged"]
-    for name, ind, flagged in entries:
-        keep = flagged | (ind > 0)
-        for i, j in np.argwhere(keep):
-            lines.append(f"{name},{i},{j},{ind[i, j]:.6e},"
-                         f"{int(flagged[i, j])}")
+    for i, j in np.argwhere(flagged | (ind > 0)):
+        lines.append(f"{name},{i},{j},{ind[i, j]:.6e},"
+                     f"{int(flagged[i, j])}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -177,10 +175,11 @@ def write_sweep_table(path, rows):
                        "strip_min_mach_restart"])
 
 
-def write_field_slice_dat(path, sampler, gas, y, x_range, n=800):
-    """Gnuplot table of flow quantities along one horizontal line."""
-    xs = np.linspace(x_range[0], x_range[1], n)
-    q = sampler.states(np.stack([xs, np.full(n, y)], axis=1))
+def write_field_slice_dat(path, sampler, gas, y, x_range):
+    """Gnuplot table of flow quantities at ``SLICE_POINTS`` points along
+    one horizontal line."""
+    xs = np.linspace(x_range[0], x_range[1], SLICE_POINTS)
+    q = sampler.states(np.stack([xs, np.full(SLICE_POINTS, y)], axis=1))
     p = pressure(q, gas)
     write_gnuplot_dat(path, [xs, q[0], q[1] / q[0], q[2] / q[0], p],
                       ["x", "density", "u", "v", "pressure"])

@@ -58,6 +58,10 @@ STATUS_ACTIVE = 0
 STATUS_FRINGE = 1
 STATUS_HOLE = 2
 
+N_CANDIDATES = 8      # k-d candidate elements per located point
+LOCATE_TOL = 1e-9     # reference-coordinate slack of "inside an element"
+COVER_SHRINK = 1e-6   # corner pull toward the center (covered_elements)
+
 
 # ---------------------------------------------------------------------
 # point location
@@ -146,19 +150,19 @@ def _newton_rs(a, b, c, d, pts, iters=12):
 class PointLocator:
     """Finds the element and reference coordinates containing points."""
 
-    def __init__(self, block, n_candidates=8):
+    def __init__(self, block):
         self.block = block
         self.a, self.b, self.c, self.d = _bilinear_coeffs(block)
         cent = block.element_centroids().reshape(-1, 2)
         self.tree = cKDTree(cent)
-        self.k = min(n_candidates, block.n_elements)
+        self.k = min(N_CANDIDATES, block.n_elements)
         c00, c10, c11, c01 = block.corners
         d1 = c11 - c00
         d2 = c01 - c10
         self._area = 0.5 * np.abs(d1[..., 0] * d2[..., 1]
                                   - d1[..., 1] * d2[..., 0]).reshape(-1)
 
-    def locate(self, pts, tol=1e-9, clamp=False):
+    def locate(self, pts, clamp=False):
         """Locate flat (n, 2) points.
 
         Returns (found, ij, rs): bool (n,), int (n, 2), float (n, 2).
@@ -183,7 +187,8 @@ class PointLocator:
                               for v in (self.a, self.b, self.c, self.d))
             p = pts[todo]
             r, s = _newton_rs(af, bf, cf, df, p)
-            good = (np.abs(r) <= 1.0 + tol) & (np.abs(s) <= 1.0 + tol)
+            good = ((np.abs(r) <= 1.0 + LOCATE_TOL)
+                    & (np.abs(s) <= 1.0 + LOCATE_TOL))
             # residual check guards against false Newton fixed points
             res = p - (af + bf * r[:, None] + cf * s[:, None]
                        + df * (r * s)[:, None])
@@ -202,11 +207,11 @@ class PointLocator:
         missing = ~found
         if np.any(missing):
             fi, fj, fr, fs, ffound = self._walk(pts[missing], pick[missing],
-                                                tol)
+                                                LOCATE_TOL)
             ij[missing] = np.column_stack([fi, fj])
             rs[missing] = np.column_stack([fr, fs])
             found[missing] = ffound
-        lim = 1.0 if clamp else 1.0 + tol
+        lim = 1.0 if clamp else 1.0 + LOCATE_TOL
         return found, ij, np.clip(rs, -lim, lim)
 
     def _walk(self, pts, start_flat, tol):
@@ -255,17 +260,18 @@ class PointLocator:
 # ---------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------
-def covered_elements(background, overset, shrink=1e-6):
+def covered_elements(background, overset):
     """Background elements whose corners and center all fall inside the
     overlapping block's footprint.
 
-    Corners are pulled slightly toward the element center first, so an
-    element whose edge lies exactly on the footprint boundary (both blocks
-    ending on the same wall, say) still counts as covered.
+    Corners are pulled slightly toward the element center first
+    (``COVER_SHRINK``), so an element whose edge lies exactly on the
+    footprint boundary (both blocks ending on the same wall, say) still
+    counts as covered.
     """
     cent = background.element_centroids()
-    test = cent + (1.0 - shrink) * (np.stack([*background.corners, cent])
-                                    - cent)
+    test = cent + (1.0 - COVER_SHRINK) * (
+        np.stack([*background.corners, cent]) - cent)
     return points_in_footprint(overset, test).all(axis=0)
 
 

@@ -24,7 +24,8 @@ from . import mesh
 from .basis import Basis
 from .config import case_from_config, dump_config
 from .dg import Discretization
-from .errors import AssemblyError, ConfigError, DivergenceError
+from .errors import (AssemblyError, ConfigError, DivergenceError,
+                     MeasurementError)
 from .overset import (CompositeSampler, OversetAssembly, points_in_footprint,
                       project_between)
 from .stabilization import Stabilizer, kxrcf_indicator, make_limiter_hook
@@ -283,11 +284,13 @@ def build_aligned_grid(case, cfg, flag_points):
     on the floor, north is wall where it lies on the top profile (outflow
     behind the trailing edge), west is inflow when it starts at the
     inlet, and east, at the exit, is outflow; the rest are interfaces.
-    Returns None for an empty flag map.
+    An empty flag map leaves nothing to enclose and raises
+    ``MeasurementError``.
     """
     pts = np.asarray(flag_points, float).reshape(-1, 2)
     if len(pts) == 0:
-        return None
+        raise MeasurementError("no shock system detected: the coarse stage "
+                               "flagged no cell")
     ni, nj = case.overset_grid
     h = math.sqrt((case.length / case.coarse_grid[0]) *
                   (1.0 / case.coarse_grid[1]))
@@ -383,20 +386,6 @@ def _check_background_clean(disc, coeffs, variables, threshold):
             "enclose the whole shock system")
 
 
-def _fine_discs(case, cfg, ov_block):
-    order = cfg["solver.fine_order"]
-    bg_block = build_wedge_grid(case, *case.fine_background_grid)
-    bg = Discretization(bg_block, Basis(order), case.gas,
-                        flux=cfg["solver.background_flux"],
-                        bc_state=case.free_stream())
-    discs = [bg]
-    if ov_block is not None:
-        discs.append(Discretization(ov_block, Basis(order), case.gas,
-                                    flux=cfg["solver.overset_flux"],
-                                    bc_state=case.free_stream()))
-    return discs
-
-
 def save_checkpoint(path, discs, coeffs):
     """Write each block's vertices and coefficients as bit-exact float64
     ``vertices_<name>.npy`` and ``coeffs_<name>.npy``, and a
@@ -449,53 +438,53 @@ def run_fine(case, cfg, flag_pts, seed, *, on_log=None):
     a restart checkpoint on their own vertices -- onto the background and
     the patch, and marches both.  Every stage the patch gets the
     indicator-gated limiter and both blocks the positivity guard; the
-    background is never limited.  With no flagged cell there is no patch:
-    the background marches alone and nothing is measured.
+    background is never limited.  The stem is measured on the settled
+    pair.  An empty ``flag_pts`` raises ``MeasurementError`` (no shock
+    system detected) before anything is built.
     """
     ov_block = build_aligned_grid(case, cfg, flag_pts)
-    discs = _fine_discs(case, cfg, ov_block)
-
+    # containment: every flagged coarse cell must lie inside the patch
+    inside = points_in_footprint(ov_block, flag_pts)
+    if not inside.all():
+        x, y = flag_pts[~inside][0]
+        raise AssemblyError(
+            f"containment violated: flagged coarse cell at ({x:.3f}, "
+            f"{y:.3f}) lies outside the aligned patch")
+    basis = Basis(cfg["solver.fine_order"])
+    bg = Discretization(build_wedge_grid(case, *case.fine_background_grid),
+                        basis, case.gas, flux=cfg["solver.background_flux"],
+                        bc_state=case.free_stream())
+    ov = Discretization(ov_block, basis, case.gas,
+                        flux=cfg["solver.overset_flux"],
+                        bc_state=case.free_stream())
+    discs = [bg, ov]
+    assembly = OversetAssembly(
+        bg, ov, hole_margin=cfg["overset.hole_margin"],
+        fringe_width=cfg["overset.fringe_width"],
+        ov_fringe_rings=cfg["overset.fringe_rings"])
     # the background gets the admissibility guard only, never a limiter
-    stabs = [Stabilizer(mode="off", positivity=True)]
-    assembly = None
-    if ov_block is not None:
-        # containment: every flagged coarse cell must lie inside the patch
-        inside = points_in_footprint(ov_block, flag_pts)
-        if not inside.all():
-            x, y = flag_pts[~inside][0]
-            raise AssemblyError(
-                f"containment violated: flagged coarse cell at ({x:.3f}, "
-                f"{y:.3f}) lies outside the aligned patch")
-        assembly = OversetAssembly(
-            discs[0], discs[1], hole_margin=cfg["overset.hole_margin"],
-            fringe_width=cfg["overset.fringe_width"],
-            ov_fringe_rings=cfg["overset.fringe_rings"])
-        stabs.append(Stabilizer(mode="indicator",
-                                variables=INDICATOR_VARIABLES,
-                                threshold=cfg["stabilization.threshold"],
-                                tvb_m=cfg["stabilization.tvb_m"],
-                                positivity=True))
+    stabs = [Stabilizer(mode="off", positivity=True),
+             Stabilizer(mode="indicator", variables=INDICATOR_VARIABLES,
+                        threshold=cfg["stabilization.threshold"],
+                        tvb_m=cfg["stabilization.tvb_m"], positivity=True)]
 
     coeffs = [project_between(seed, d) for d in discs]
-    march = _march_stage(
-        cfg, "fine", discs, stabs, coeffs, on_log=on_log,
-        transfer=None if assembly is None else assembly.transfer)
-    invariants = {"background_guard_activations": stabs[0].guard_activations}
-    if assembly is not None:
-        invariants["overset_guard_activations"] = stabs[1].guard_activations
-        invariants["overset_limiter_activations"] = stabs[1].limited_cells
-        (invariants["background_receiver_repairs"],
-         invariants["overset_receiver_repairs"]) = assembly.receiver_repairs
-    _check_background_clean(discs[0], coeffs[0], INDICATOR_VARIABLES,
+    march = _march_stage(cfg, "fine", discs, stabs, coeffs, on_log=on_log,
+                         transfer=assembly.transfer)
+    bg_repairs, ov_repairs = assembly.receiver_repairs
+    invariants = {"background_guard_activations": stabs[0].guard_activations,
+                  "overset_guard_activations": stabs[1].guard_activations,
+                  "overset_limiter_activations": stabs[1].limited_cells,
+                  "background_receiver_repairs": bg_repairs,
+                  "overset_receiver_repairs": ov_repairs}
+    _check_background_clean(bg, coeffs[0], INDICATOR_VARIABLES,
                             cfg["stabilization.threshold"])
 
     sampler = CompositeSampler(discs[::-1], coeffs[::-1])
-    measurement = None
-    if assembly is not None:
-        measurement = measure_stem(
-            sampler, case,
-            cell_size=math.sqrt(float(np.median(discs[-1].geo.element_area))),
-            n_lines=cfg["measurement.n_lines"], nx=cfg["measurement.nx"])
+    measurement = measure_stem(
+        sampler, case,
+        cell_size=math.sqrt(float(np.median(ov.geo.element_area))),
+        n_lines=cfg["measurement.n_lines"], nx=cfg["measurement.nx"])
     return FineResult(discs, coeffs, assembly, march, measurement,
                       invariants, sampler)
 
@@ -517,12 +506,16 @@ def run_key(cfg):
 
 @dataclass
 class RunSummary:
+    """A finished run: its directory, its ``result.json`` document, and
+    whether it was reused from the cache."""
+
     run_dir: Path
-    measurement: dict
-    invariants: dict
-    coarse_outcome: str
-    fine_outcome: str
+    result: dict
     cached: bool
+
+    @property
+    def measurement(self):
+        return self.result["measurement"]
 
     @property
     def checkpoint(self):
@@ -535,8 +528,6 @@ def _measurement_doc(measurement):
     for RR), ``strip_min_mach`` the least Mach number behind the lowest
     line's front: a stem near one cell, or a lowest strip near Mach 1,
     reads RR or MR by resolution."""
-    if measurement is None:
-        return {"classification": "none"}
     diag = measurement.diagnostics
     tp = measurement.triple_point
     return {"classification": measurement.classification,
@@ -558,8 +549,7 @@ def load_cached_run(run_dir):
         res = json.loads((run_dir / "result.json").read_text())
     except (OSError, ValueError):
         return None
-    return RunSummary(run_dir, res["measurement"], res["invariants"],
-                      res["coarse_outcome"], res["fine_outcome"], True)
+    return RunSummary(run_dir, res, True)
 
 
 def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
@@ -609,9 +599,8 @@ def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
     artifacts.write_residual_csv(run_dir / "coarse_residual.csv",
                                  coarse.march.history)
     manifest.record(run_dir / "coarse_residual.csv")
-    artifacts.write_troubled_csv(
-        run_dir / "troubled_cells.csv",
-        [("background", coarse.indicator, coarse.flagged)])
+    artifacts.write_troubled_csv(run_dir / "troubled_cells.csv", "background",
+                                 coarse.indicator, coarse.flagged)
     manifest.record(run_dir / "troubled_cells.csv")
     artifacts.write_shock_paths_json(run_dir / "shock_paths.json",
                                      coarse.segments)
@@ -630,10 +619,9 @@ def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
     artifacts.write_residual_csv(run_dir / "fine_residual.csv",
                                  fine.march.history)
     manifest.record(run_dir / "fine_residual.csv")
-    if fine.assembly is not None:
-        artifacts.write_classification_csv(run_dir / "assembly.csv",
-                                           fine.assembly)
-        manifest.record(run_dir / "assembly.csv")
+    artifacts.write_classification_csv(run_dir / "assembly.csv",
+                                       fine.assembly)
+    manifest.record(run_dir / "assembly.csv")
     if cfg["output.vtk"]:
         names = ["fine_background.vtk", "fine_overset.vtk"]
         for d, c, name in zip(fine.discs, fine.coeffs, names):
@@ -668,8 +656,7 @@ def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
     (run_dir / "result.json").write_text(json.dumps(result, indent=2) + "\n")
     manifest.record(run_dir / "result.json")
     manifest.finish()
-    return RunSummary(run_dir, result["measurement"], fine.invariants,
-                      coarse.march.outcome, fine.march.outcome, False)
+    return RunSummary(run_dir, result, False)
 
 
 def run_sweep(cfg, *, reuse=True, on_log=None):
@@ -681,8 +668,8 @@ def run_sweep(cfg, *, reuse=True, on_log=None):
     that is empty, from the largest angle's impulsive checkpoint, and
     seeds each later angle with the run before it.  An entry is the run's
     measurement document (``result.json``) or ``"error: ..."``: a failed
-    run is recorded and the sweep goes on, but a run that failed or
-    detected no shock system seeds nothing.
+    run, one that detected no shock system included, is recorded and the
+    sweep goes on, but it seeds nothing.
     """
     angles = sorted(set(cfg["sweep.angles_deg"]), reverse=True)
     if not angles:
@@ -696,8 +683,6 @@ def run_sweep(cfg, *, reuse=True, on_log=None):
                                    reuse=reuse, on_log=on_log)
         except Exception as exc:               # recorded, sweep continues
             return f"error: {exc}", None
-        if summary.measurement["classification"] == "none":
-            return "error: no shock system detected", None
         return summary.measurement, summary.checkpoint
 
     impulsive, checkpoints = zip(*(run(a, "impulsive") for a in angles))

@@ -78,6 +78,9 @@ SQRT3 = np.sqrt(3.0)
 # relative margin by which the positivity guard's modal bound must clear
 # the floors, far above rounding (module docstring)
 DELTA = 1e-12
+# the positivity guard's density and pressure floors
+RHO_FLOOR = 1e-8
+P_FLOOR = 1e-10
 
 
 def kxrcf_indicator(disc, coeffs, variables=(0,), threshold=1.0):
@@ -225,13 +228,13 @@ def _proven_positive(disc, coeffs, rho_floor, p_floor):
     return (lo_rho > rho_floor) & (p_lo > p_floor)
 
 
-def positivity_guard(disc, coeffs, cells=None, rho_floor=1e-8,
-                     p_floor=1e-10):
+def positivity_guard(disc, coeffs, cells=None):
     """Emergency fallback keeping every guarded cell's state physical.
 
-    A cell whose mean density or pressure is non-finite or below the
-    floor is rebuilt as a constant cell with floored values; a cell
-    whose polynomial dips below the floors anywhere on its guard nodes
+    A cell whose mean density or pressure is non-finite or below its
+    floor (``RHO_FLOOR``, ``P_FLOOR``) is rebuilt as a constant cell with
+    floored values; a cell whose polynomial dips below the floors
+    anywhere on its guard nodes
     (``Basis.node_V``: the volume and face quadrature nodes) has its
     non-constant modes halved, at most 60 times, until the dip
     disappears.  A no-op on physical states, so steady solutions are
@@ -253,24 +256,24 @@ def positivity_guard(disc, coeffs, cells=None, rho_floor=1e-8,
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if cells is None:
             cells = np.nonzero(disc.active_mask
-                               & ~_proven_positive(disc, coeffs, rho_floor,
-                                                   p_floor))
+                               & ~_proven_positive(disc, coeffs, RHO_FLOOR,
+                                                   P_FLOOR))
         else:
-            weak = ~_proven_positive(disc, coeffs[(v, *cells)], rho_floor,
-                                     p_floor)
+            weak = ~_proven_positive(disc, coeffs[(v, *cells)], RHO_FLOOR,
+                                     P_FLOOR)
             cells = tuple(ix[weak] for ix in cells)
         if cells[0].size == 0:
             return 0
         means = disc.cell_means(coeffs[(v, *cells)], cells)
         pm = pressure(means, gas)
-        bad = (~np.isfinite(means).all(axis=0) | (means[0] <= rho_floor)
-               | ~np.isfinite(pm) | (pm <= p_floor))
+        bad = (~np.isfinite(means).all(axis=0) | (means[0] <= RHO_FLOOR)
+               | ~np.isfinite(pm) | (pm <= P_FLOOR))
         if bad.any():
             m = means[:, bad]
-            rho = np.maximum(np.nan_to_num(m[0], nan=rho_floor), rho_floor)
+            rho = np.maximum(np.nan_to_num(m[0], nan=RHO_FLOOR), RHO_FLOOR)
             u = np.nan_to_num(m[1] / rho, nan=0.0, posinf=0.0, neginf=0.0)
             vel = np.nan_to_num(m[2] / rho, nan=0.0, posinf=0.0, neginf=0.0)
-            p = np.maximum(np.nan_to_num(pm[bad], nan=p_floor), p_floor)
+            p = np.maximum(np.nan_to_num(pm[bad], nan=P_FLOOR), P_FLOOR)
             state = conserved(rho, u, vel, p, gas)
             at = tuple(ix[bad] for ix in cells)
             coeffs[(v, *at)] = 0.0
@@ -282,8 +285,8 @@ def positivity_guard(disc, coeffs, cells=None, rho_floor=1e-8,
         V = disc.basis.node_V
         for _ in range(60):
             vals = np.tensordot(V, coeffs[(v, *cells)], (1, -1))
-            dip = _dips_below_floors(vals.swapaxes(0, 1), gas, rho_floor,
-                                     p_floor)
+            dip = _dips_below_floors(vals.swapaxes(0, 1), gas, RHO_FLOOR,
+                                     P_FLOOR)
             if not dip.any():
                 break
             cells = tuple(ix[dip] for ix in cells)

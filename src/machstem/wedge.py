@@ -128,15 +128,14 @@ def _station_array(case, ni):
     return np.concatenate(xs + [[case.length]])
 
 
-def build_wedge_grid(case, ni=None, nj=None, name="background"):
-    """Sheared structured grid fitted to the channel-with-wedge profile.
+def build_wedge_grid(case, ni, nj):
+    """Sheared ``ni`` x ``nj`` grid, the ``background`` block, fitted to
+    the channel-with-wedge profile.
 
     Vertices land exactly on the wedge leading and trailing edges so
     every top face lies on the true boundary.  Top-side faces are walls
     up to the trailing edge and outflow behind the shoulder.
     """
-    if ni is None or nj is None:
-        ni, nj = case.coarse_grid
     geom = wedge_geometry(case)
     x1 = _station_array(case, ni)
     y_top = top_profile(case, x1)
@@ -148,7 +147,7 @@ def build_wedge_grid(case, ni=None, nj=None, name="background"):
     xmid = 0.5 * (x1[:-1] + x1[1:])
     top_tags = np.where(xmid < geom["x_te"] - 1e-12,
                         mesh.TAG_WALL, mesh.TAG_OUTFLOW)
-    return mesh.GridBlock(verts, name=name, tags={
+    return mesh.GridBlock(verts, name="background", tags={
         mesh.FACE_W: mesh.TAG_INFLOW, mesh.FACE_E: mesh.TAG_OUTFLOW,
         mesh.FACE_S: mesh.TAG_WALL, mesh.FACE_N: top_tags})
 

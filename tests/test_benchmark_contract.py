@@ -52,6 +52,16 @@ def test_tracer_wraps_every_layer_and_restores_it():
     assert all(a != b for a, b in zip(during, before))
 
 
+def test_every_workload_builds_on_the_config_it_sets(tmp_path):
+    """Each workload builds as the benchmark builds it (seed 540), and
+    the smoke run's overrides parse: a config key or value the benchmark
+    still sets fails here once the package retires or narrows it."""
+    from machstem.config import parse_config
+    for work in workloads.WORKLOADS.values():
+        work(540, tmp_path)
+    parse_config(None, overrides=workloads.SmokeRR.overrides)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_operation_passes_its_check(name, tmp_path):

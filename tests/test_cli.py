@@ -83,6 +83,14 @@ def test_out_of_range_sweep_angle_fails_before_any_run(capsys, monkeypatch):
     assert "sweep.angles_deg" in capsys.readouterr().err
 
 
+def test_too_few_grid_columns_fail_before_any_run(capsys, monkeypatch):
+    from machstem import pipeline
+    monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg, **kw:
+                        pytest.fail("a run started"))
+    assert main(["pipeline", "--coarse-grid", "2x4"]) == 2
+    assert "case.coarse_grid" in capsys.readouterr().err
+
+
 def test_malformed_set_reports_error(capsys):
     rc = main(["pipeline", "--set", "case.mach:3"])
     assert rc == 2

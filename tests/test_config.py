@@ -49,6 +49,16 @@ def test_grid_parsing():
         parse_config(None, overrides={"case.coarse_grid": "120by60"})
 
 
+def test_grids_need_three_columns():
+    """The inlet section, the wedge and the section behind it each get a
+    column; with fewer the channel grid would silently drop the inlet."""
+    for key in ("case.coarse_grid", "case.fine_background_grid",
+                "case.overset_grid"):
+        assert parse_config(None, overrides={key: "3x1"})[key] == (3, 1)
+        with pytest.raises(ConfigError, match=key):
+            parse_config(None, overrides={key: "2x4"})
+
+
 def test_dump_roundtrip(tmp_path):
     cfg = parse_config(None, overrides={"case.wedge_angle_deg": "24",
                                         "sweep.angles_deg": "21.0,19.6"})

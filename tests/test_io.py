@@ -65,7 +65,7 @@ def test_troubled_csv_roundtrip(tmp_path):
     flagged[1, 2] = True
     ind[0, 0] = 0.3
     path = tmp_path / "cells.csv"
-    io.write_troubled_csv(path, [("bg", ind, flagged)])
+    io.write_troubled_csv(path, "bg", ind, flagged)
     # untouched cells are not listed
     assert path.read_text().splitlines() == [
         "block_id,i,j,indicator_value,flagged",
@@ -78,8 +78,8 @@ def test_troubled_csv_deterministic(tmp_path):
     ind = rng.random((6, 5))
     flagged = ind > 0.6
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    io.write_troubled_csv(a, [("bg", ind, flagged)])
-    io.write_troubled_csv(b, [("bg", ind.copy(), flagged.copy())])
+    io.write_troubled_csv(a, "bg", ind, flagged)
+    io.write_troubled_csv(b, "bg", ind.copy(), flagged.copy())
     assert a.read_bytes() == b.read_bytes()
 
 

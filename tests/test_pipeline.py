@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -8,7 +9,7 @@ from machstem import cli, mesh, pipeline
 from machstem.basis import Basis
 from machstem.config import parse_config
 from machstem.dg import Discretization
-from machstem.errors import AssemblyError, ConfigError
+from machstem.errors import AssemblyError, ConfigError, MeasurementError
 from machstem.gas import GasModel, conserved
 from machstem.io import RunManifest, verify_manifest, write_sweep_table
 from machstem.pipeline import (
@@ -110,10 +111,11 @@ def test_aligned_patch_contains_flags_and_tracks_band():
     assert angle == pytest.approx(-40.0, abs=2.0)
 
 
-def test_aligned_patch_empty_map_is_none():
+def test_aligned_patch_empty_map_raises():
     cfg = _patch_cfg()
     case = FlowCase(mach=3.0, wedge_angle_deg=24.0)
-    assert build_aligned_grid(case, cfg, np.empty((0, 2))) is None
+    with pytest.raises(MeasurementError, match="no shock system detected"):
+        build_aligned_grid(case, cfg, np.empty((0, 2)))
 
 
 def test_aligned_patch_boundary_tags():
@@ -235,15 +237,20 @@ def test_pipeline_smoke_rr_then_restart(tmp_path, monkeypatch):
     assert first.measurement["strip_min_mach"] == \
         fines[0].measurement.diagnostics["strip_min_mach"][0]
     assert verify_manifest(first.run_dir)[1] == []
-    inv = first.invariants
+    result = json.loads((first.run_dir / "result.json").read_text())
+    assert first.result == result
+    inv = result["invariants"]
     # measured: the patch is limited; the receivers are guarded
     assert inv["overset_limiter_activations"] > 0
-    assert {"background_receiver_repairs",
-            "overset_receiver_repairs"} <= set(inv)
-    result = json.loads((first.run_dir / "result.json").read_text())
-    assert result["invariants"]["overset_limiter_activations"] == \
-        inv["overset_limiter_activations"]
+    assert sorted(inv) == ["background_guard_activations",
+                           "background_receiver_repairs",
+                           "overset_guard_activations",
+                           "overset_limiter_activations",
+                           "overset_receiver_repairs"]
     assert 0.0 < result["coarse_time"] and 0.0 < result["fine_time"]
+    # a cached run reads back as the run that wrote it
+    assert load_cached_run(first.run_dir) == \
+        dataclasses.replace(first, cached=True)
 
     loads = []
 
@@ -403,21 +410,38 @@ def test_sweep_end_to_end(tmp_path, monkeypatch):
     assert len(list((tmp_path / "runs").iterdir())) == 4
 
 
-def test_pipeline_without_shock_marches_background_alone(tmp_path):
-    # a flat wedge leaves the free stream uniform: nothing is flagged, so
-    # the fine stage has no patch and measures nothing
-    cfg = parse_config(None, overrides=dict(SMOKE, **{
-        "case.wedge_angle_deg": "0",
-        "solver.coarse_max_iterations": "20",
-        "solver.fine_max_iterations": "10"}))
-    summary = run_pipeline(cfg, run_dir=tmp_path, reuse=False)
-    assert summary.measurement == {"classification": "none"}
-    assert "overset_guard_activations" not in summary.invariants
-    assert summary.fine_outcome == "converged"
-    assert verify_manifest(tmp_path)[1] == []
-    assert sorted(p.name for p in summary.checkpoint.iterdir()) == \
-        ["checkpoint.json", "coeffs_background.npy",
-         "vertices_background.npy"]
+# a flat wedge leaves the free stream uniform: the coarse stage flags
+# nothing, so there is no shock system to enclose or measure
+NO_SHOCK = dict(SMOKE, **{"case.wedge_angle_deg": "0",
+                          "solver.coarse_max_iterations": "20"})
+
+
+def test_pipeline_without_shock_ends_after_the_coarse_stage(tmp_path,
+                                                            monkeypatch):
+    marches = []
+    march = pipeline.march_to_steady
+
+    def counting_march(*args, **kwargs):
+        marches.append(march(*args, **kwargs))
+        return marches[-1]
+
+    monkeypatch.setattr(pipeline, "march_to_steady", counting_march)
+    cfg = parse_config(None, overrides=NO_SHOCK)
+    with pytest.raises(MeasurementError, match="no shock system detected"):
+        run_pipeline(cfg, run_dir=tmp_path, reuse=False)
+    assert len(marches) == 1
+    # an unfinished run is never cached
+    assert not (tmp_path / "manifest.json").exists()
+    assert load_cached_run(tmp_path) is None
+
+
+def test_cli_exits_4_without_shock(tmp_path, capsys):
+    argv = ["pipeline", "--quiet", "--out-dir", str(tmp_path)]
+    for key, value in NO_SHOCK.items():
+        argv += ["--set", f"{key}={value}"]
+    assert cli.main(argv) == 4
+    assert "error: no shock system detected" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*/manifest.json"))
 
 
 def _checkpoint_blocks(order=2):

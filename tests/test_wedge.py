@@ -315,8 +315,8 @@ def _fake_pipeline(monkeypatch, measure):
         angle, init = cfg["case.wedge_angle_deg"], cfg["case.init"]
         calls.append((angle, init))
         return pipeline.RunSummary(
-            Path(f"{init.partition(':')[0]}-{angle:g}"), measure(angle, init),
-            {}, "stalled", "stalled", False)
+            Path(f"{init.partition(':')[0]}-{angle:g}"),
+            {"measurement": measure(angle, init)}, False)
 
     monkeypatch.setattr(pipeline, "run_pipeline", run)
     return calls
@@ -347,13 +347,15 @@ def test_hysteresis_sweep_row_error_is_recorded(monkeypatch):
         if angle < 20.0 and init == "impulsive":
             raise MeasurementError("no front found")
         if angle == 21.0 and init != "impulsive":
-            return {"classification": "none"}
+            raise MeasurementError("no shock system detected: the coarse "
+                                   "stage flagged no cell")
         return RR
 
     calls = _fake_pipeline(monkeypatch, measure)
     rows = run_sweep(parse_config(None, {"sweep.angles_deg": "24,21,19.6"}))
     assert rows == [(24.0, RR, RR),
-                    (21.0, RR, "error: no shock system detected"),
+                    (21.0, RR, "error: no shock system detected: the "
+                               "coarse stage flagged no cell"),
                     (19.6, "error: no front found",
                      "error: no seed solution available")]
     assert len(calls) == 5       # nothing seeds the last restart
