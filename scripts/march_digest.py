@@ -9,7 +9,9 @@ every ``march_to_steady``. Coefficients of holes and of fringe
 receivers do not enter it. Prints one line per workload, smoke-rr's
 with its classification and stem height, one digest of all four, and
 the number of threads besides the main one that the run left (the
-pool's, ``dg.dispatch``):
+pool's, ``dg.dispatch``), then one ``peak <workload> <MB>`` line per
+workload: the peak of the memory traced by ``tracemalloc`` during that
+workload's operation, counting what its set-up allocated and still holds:
 
     python3 scripts/march_digest.py --seed 540
 
@@ -28,6 +30,7 @@ import os
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 # single-threaded math libraries, as in benchmarks/run.py
@@ -74,14 +77,19 @@ def hashing_marches(digest):
 
 def main(seed):
     total = hashlib.sha256()
+    peaks = []
     with tempfile.TemporaryDirectory() as out:
         for name in ("coarse-march", "fine-march", "vortex-p4", "smoke-rr"):
+            tracemalloc.start()
             work = workloads.WORKLOADS[name](seed, out)
             digest = hashlib.sha256()
             restore = hashing_marches(digest)
+            tracemalloc.reset_peak()
             try:
                 ans = work.operation()
             finally:
+                peaks.append((name, tracemalloc.get_traced_memory()[1]))
+                tracemalloc.stop()
                 restore()
             line = f"{name:13s} {digest.hexdigest()}"
             if name == "smoke-rr":
@@ -96,6 +104,8 @@ def main(seed):
             total.update(digest.digest())
     print(f"{'all':13s} {total.hexdigest()}")
     print(f"{'threads':13s} {threading.active_count() - 1}")
+    for name, peak in peaks:
+        print(f"peak {name} {peak / 2 ** 20:.1f}")
 
 
 if __name__ == "__main__":

@@ -37,11 +37,17 @@ class _Key:
     describe: str = ""
 
 
+# a wedge grid's shape: the inlet section, the wedge and the section
+# behind it each need a column of their own
+GRID_RULE = "NIxNJ with NI >= 3 and NJ > 0"
+
+
+def valid_grid(v):
+    return v[0] >= 3 and v[1] > 0
+
+
 def _grid_key(default):
-    # the inlet section, the wedge and the section behind it each need a
-    # column of their own
-    return _Key(_grid, default, lambda v: v[0] >= 3 and v[1] > 0,
-                "NIxNJ with NI >= 3 and NJ > 0")
+    return _Key(_grid, default, valid_grid, GRID_RULE)
 
 
 SCHEMA = {

@@ -56,6 +56,16 @@ active elements. The face fluxes are computed on the whole block through
 the face table's slices, one call per row range of each face pair, which
 is cheaper than gathering the faces of the active elements.
 
+Each flux call's task traces its own faces: it evaluates the selected
+elements' modes at the face points, a product of the (4, rows, columns,
+n_modes) selection with the face's Vandermonde matrix. numpy computes
+it as one matrix product per variable and row, over the columns. A
+product with one column, a single matrix row, takes a matrix-vector
+kernel that rounds differently, so a one-column selection (a south or
+north boundary side, a periodic south-north wrap) is flattened over
+variables and rows first. Every trace then has the bits of a product
+over the whole block, whatever the row ranges.
+
 Which element lies across each face comes from the block's face table
 (``GridBlock.face_pairs``): interior faces, and periodic sides, which
 are whole sides in opposite pairs, each get one flux call per row range
@@ -75,11 +85,11 @@ The passes over row blocks and face row ranges run on every CPU the
 process may use (``WORKERS``, its affinity set): ``dispatch`` cuts a
 pass's tasks into ``WORKERS`` interleaved shares, runs the first on the
 calling thread and the others on a pool of ``WORKERS - 1`` threads,
-made on first use. Four passes go through it: the face fluxes (one task
-per row range of a face pair, one for the boundary batch), the volume
-terms of the residual after them (one per row block), the wave speed
-(one per row block), and the overset transfer (``OversetAssembly``; its
-two directions). Each task writes only its own elements or face slots
+made on first use. Four passes go through it: the face traces and
+fluxes (one task per row range of a face pair, one for the boundary
+batch), the volume terms of the residual after them (one per row
+block), the wave speed (one per row block), and the overset transfer
+(``OversetAssembly``; its two directions). Each task writes only its own elements or face slots
 and no sum crosses tasks, so the results are bit for bit the serial
 ones. The gate is the input's: a pass goes to the pool only when its
 block spans more than one row block (``Discretization.pooled``), as the
@@ -91,13 +101,14 @@ waiting on the pool from inside it could deadlock. With one CPU there
 is no pool and every pass is the serial loop. Wall time falls; CPU time
 does not.
 
-Each ``Discretization`` owns one face-trace scratch (four (4, ni, nj,
-nq_1d) arrays) and one surface-flux array (4, ni, nj, 4 * nq_1d),
-allocated on first use and kept for the block's life, so a march does
-not allocate, free and fault in these block-sized arrays at every
-residual. ``face_traces`` and ``_surface_fluxes`` return that scratch,
-and the next call on the same block overwrites it; copy what must
-outlive it. ``residual`` writes into the caller's array when given one.
+Each ``Discretization`` owns one surface-flux array (4, ni, nj,
+4 * nq_1d), allocated by the first residual and kept for the block's
+life, so a march does not allocate, free and fault in a block-sized
+array at every residual. ``_surface_fluxes`` returns it, and the next
+call on the same block overwrites it; copy what must outlive it. The
+face traces are not kept: each flux task's traces span its row range
+only, and ``face_traces`` returns new arrays. ``residual`` writes into
+the caller's array when given one.
 """
 
 from __future__ import annotations
@@ -229,9 +240,8 @@ class Discretization:
                                         basis.n_modes - 1)[self.skewed]
         self._pair_table()
         self._boundary_table()
-        # the face-trace and surface-flux scratch (module docstring),
-        # allocated by the first call that needs it
-        self._traces = None
+        # the surface-flux scratch (module docstring), allocated by the
+        # first residual
         self._S = None
 
     def _pair_table(self):
@@ -366,15 +376,10 @@ class Discretization:
         return coeffs @ self.basis.vol_V.T
 
     def face_traces(self, coeffs):
-        """Values at the face quadrature points, {face: (4, ni, nj,
-        nq_1d)}: the block's trace scratch, which the next call
-        overwrites (module docstring)."""
-        if self._traces is None:
-            shape = (4, self.block.ni, self.block.nj, self.basis.nq_1d)
-            self._traces = {f: np.empty(shape) for f in FACES}
-        for f, t in self._traces.items():
-            np.matmul(coeffs, self.basis.face_V[f].T, out=t)
-        return self._traces
+        """Values at the face quadrature points, {face: (..., ni, nj,
+        nq_1d)}, new arrays for the coefficients given (..., ni, nj,
+        n_modes)."""
+        return {f: coeffs @ self.basis.face_V[f].T for f in FACES}
 
     def cell_means(self, coeffs, mask=None):
         """Per-element means of the conserved variables, shape (4,ni,nj).
@@ -456,31 +461,41 @@ class Discretization:
         """flux*sJ at every element face, (4, ni, nj, 4 * nq_1d): face
         k's quadrature points are slot k, faces in ``FACES`` order. One
         flux per face pair, added to one side and subtracted from the
-        other, one flux call per row range of a pair (``_pair_rows``).
-        The result is the block's surface-flux scratch, which the next
-        call overwrites (module docstring)."""
+        other, one flux call per row range of a pair (``_pair_rows``),
+        each on traces its own task takes. The result is the block's
+        surface-flux scratch, which the next call overwrites (module
+        docstring)."""
         gas = self.gas
         v = slice(None)  # the variable axis, ahead of an element selection
-        tr = self.face_traces(coeffs)
         nf = self.basis.nq_1d
+        face_V = self.basis.face_V
         if self._S is None:
             self._S = np.empty((4, self.block.ni, self.block.nj,
                                 len(FACES) * nf))
         S = self._S
         slot = {f: S[..., k * nf:(k + 1) * nf] for k, f in enumerate(FACES)}
 
+        def trace(face, sel):
+            # the selected elements' values at the face's points; a
+            # one-column selection is flattened first (module docstring)
+            c = coeffs[(v, *sel)]
+            if c.shape[2] > 1:
+                return c @ face_V[face].T
+            return (c.reshape(-1, c.shape[-1])
+                    @ face_V[face].T).reshape(*c.shape[:-1], nf)
+
         def pair(fa, sa, fb, sb, nx, ny, sj):
-            fhat = self.flux(tr[fa][(v, *sa)], tr[fb][(v, *sb)], nx, ny, gas)
+            fhat = self.flux(trace(fa, sa), trace(fb, sb), nx, ny, gas)
             fhat *= sj
             slot[fa][(v, *sa)] = fhat
             np.negative(fhat, out=slot[fb][(v, *sb)])
 
         def boundary():
-            # every boundary side in one batch: gather, ghost, one flux
+            # every boundary side in one batch: trace, ghost, one flux
             # call, scatter back into the slots
             q_in = np.empty((4, self._bnd_sj.shape[1], nf))
             for face, sel, rows, _ in self._bnd_sides:
-                q_in[:, rows] = tr[face][(v, *sel)].reshape(4, -1, nf)
+                q_in[:, rows] = trace(face, sel).reshape(4, -1, nf)
             fhat = self.flux(q_in, self._ghost_states(q_in),
                              self._bnd_nx, self._bnd_ny, gas)
             fhat *= self._bnd_sj

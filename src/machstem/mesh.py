@@ -113,23 +113,24 @@ class GridBlock:
         return 0.25 * (c00 + c10 + c11 + c01)
 
     def map_points(self, r, s):
-        """Map reference points (r, s), one pair per element-broadcastable
-        array, through the bilinear element mappings.
+        """Map reference points (r, s), each of shape (npts,), through
+        every element's bilinear mapping: (ni, nj, npts, 2).
 
-        r, s have shape (..., npts) broadcast against element grids; the
-        usual call passes (npts,) and receives (ni, nj, npts, 2).
+        Computed node-major, one coordinate at a time, on (npts, ni, nj)
+        arrays, so no pass broadcasts against the node or coordinate
+        axis; each coordinate is transposed once into place.
         """
-        c00, c10, c11, c01 = self.corners
-        r = np.asarray(r, float)
-        s = np.asarray(s, float)
+        r = np.asarray(r, float)[:, None, None]
+        s = np.asarray(s, float)[:, None, None]
         n00 = (1 - r) * (1 - s) / 4.0
         n10 = (1 + r) * (1 - s) / 4.0
         n11 = (1 + r) * (1 + s) / 4.0
         n01 = (1 - r) * (1 + s) / 4.0
-        out = (c00[:, :, None, :] * n00[..., None] +
-               c10[:, :, None, :] * n10[..., None] +
-               c11[:, :, None, :] * n11[..., None] +
-               c01[:, :, None, :] * n01[..., None])
+        out = np.empty((self.ni, self.nj, r.shape[0], 2))
+        for k in range(2):
+            c00, c10, c11, c01 = (c[..., k] for c in self.corners)
+            out[..., k] = (c00 * n00 + c10 * n10 + c11 * n11
+                           + c01 * n01).transpose(1, 2, 0)
         return out
 
     def geometry(self, basis):
@@ -147,20 +148,28 @@ class GridBlock:
 
 def _metrics(block, r, s):
     """Derivatives x_r, y_r, x_s, y_s of the bilinear element maps and
-    det J = x_r y_s - x_s y_r at reference points (r, s); each has shape
-    (ni, nj, npts)."""
+    det J = x_r y_s - x_s y_r at reference points (r, s), each (npts,);
+    each result is node-major, (npts, ni, nj)."""
     c00, c10, c11, c01 = block.corners
+    r = r[:, None, None]
+    s = s[:, None, None]
 
     def d_dr(k):
-        return ((c10[..., k] - c00[..., k])[:, :, None] * (1 - s) +
-                (c11[..., k] - c01[..., k])[:, :, None] * (1 + s)) / 4.0
+        return ((c10[..., k] - c00[..., k]) * (1 - s)
+                + (c11[..., k] - c01[..., k]) * (1 + s)) / 4.0
 
     def d_ds(k):
-        return ((c01[..., k] - c00[..., k])[:, :, None] * (1 - r) +
-                (c11[..., k] - c10[..., k])[:, :, None] * (1 + r)) / 4.0
+        return ((c01[..., k] - c00[..., k]) * (1 - r)
+                + (c11[..., k] - c10[..., k]) * (1 + r)) / 4.0
 
     x_r, y_r, x_s, y_s = d_dr(0), d_dr(1), d_ds(0), d_ds(1)
     return x_r, y_r, x_s, y_s, x_r * y_s - x_s * y_r
+
+
+def _element_major(a):
+    """A node-major (npts, ni, nj) field as a contiguous (ni, nj, npts)
+    one."""
+    return np.ascontiguousarray(a.transpose(1, 2, 0))
 
 
 class _BlockGeometry:
@@ -171,27 +180,35 @@ class _BlockGeometry:
     points. Its inverse is V_g^T diag(minv_scale) V_g, with
     ``minv_scale`` = w_g / J there, shape (ni, nj, n_modes), the only
     per-element data the inverse needs.
+
+    The metrics are built node-major (``_metrics``) and stored element
+    major, (ni, nj, npts). The volume quadrature points are not stored:
+    ``vol_points`` maps them at each read, and only set-up and answer
+    work (projection, L2 errors, transfer operators) reads them.
     """
 
     def __init__(self, block, basis):
         self.block = block
         self.basis = basis
         c00, c10, c11, c01 = block.corners
-        r = basis.vol_nodes[:, 0]
-        s = basis.vol_nodes[:, 1]
-        x_r, y_r, x_s, y_s, detJ = _metrics(block, r, s)
+        x_r, y_r, x_s, y_s, detJ = _metrics(block, *basis.vol_nodes.T)
         if np.any(detJ <= 0.0):
-            bad = np.argwhere(detJ <= 0.0)[0]
+            bad = np.argwhere((detJ <= 0.0).any(axis=0))[0]
             raise ValueError(
                 f"block {block.name!r}: degenerate or inverted element "
                 f"(i={bad[0]}, j={bad[1]})")
-        self.x_r, self.y_r, self.x_s, self.y_s, self.detJ = x_r, y_r, x_s, y_s, detJ
-        self.vol_points = block.map_points(r, s)
+        g_r = np.sqrt(x_r ** 2 + y_r ** 2)
+        g_s = np.sqrt(x_s ** 2 + y_s ** 2)
+        self.h_dt = 2.0 * np.min(detJ / np.maximum(g_r, g_s), axis=0)
+        self.x_r, self.y_r, self.x_s, self.y_s, self.detJ = map(
+            _element_major, (x_r, y_r, x_s, y_s, detJ))
         # the Gauss points lie inside the hull of the volume nodes, where
         # the bilinear det J is positive
-        self.minv_scale = basis.gauss_weights / _metrics(
-            block, *basis.gauss_nodes.T)[4]
-        self.element_area = np.einsum("q,ijq->ij", basis.vol_weights, detJ)
+        self.minv_scale = _element_major(
+            basis.gauss_weights[:, None, None]
+            / _metrics(block, *basis.gauss_nodes.T)[4])
+        self.element_area = np.einsum("q,ijq->ij", basis.vol_weights,
+                                      self.detJ)
 
         # straight edges: constant tangent, normal, half-length per face
         V00, V10, V11, V01 = c00, c10, c11, c01
@@ -216,9 +233,12 @@ class _BlockGeometry:
             self.face_normal[face] = n / sj[..., None]
             self.face_sj[face] = sj
 
-        # characteristic sizes
+        # characteristic size
         edge_len = {f: 2.0 * self.face_sj[f] for f in self.face_sj}
         self.h_max_edge = np.maximum.reduce(list(edge_len.values()))
-        g_r = np.sqrt(x_r ** 2 + y_r ** 2)
-        g_s = np.sqrt(x_s ** 2 + y_s ** 2)
-        self.h_dt = 2.0 * np.min(detJ / np.maximum(g_r, g_s), axis=2)
+
+    @property
+    def vol_points(self):
+        """Volume quadrature points, (ni, nj, nq, 2), mapped at each read
+        (class docstring)."""
+        return self.block.map_points(*self.basis.vol_nodes.T)

@@ -61,6 +61,11 @@ STATUS_HOLE = 2
 N_CANDIDATES = 8      # k-d candidate elements per located point
 LOCATE_TOL = 1e-9     # reference-coordinate slack of "inside an element"
 COVER_SHRINK = 1e-6   # corner pull toward the center (covered_elements)
+# footprint dilation, in units of a block's longest element edge, within
+# which a sampler block that is not the last locates points: far wider
+# than the distance outside an element that LOCATE_TOL and locate's
+# residual check admit, about 1e-8 of its edge (CompositeSampler)
+FOOTPRINT_MARGIN = 1e-6
 
 
 # ---------------------------------------------------------------------
@@ -98,6 +103,35 @@ def points_in_footprint(block, pts):
             inside[m:n] ^= xs[m:n] < xc
     inside[order] = inside.copy()
     return inside.reshape(np.asarray(pts).shape[:-1])
+
+
+def points_near_footprint(block, pts, margin):
+    """Points inside the block's footprint (``points_in_footprint``) or
+    within ``margin`` of its perimeter.
+
+    The outside points are sorted by y once, and each edge measures its
+    distance to the band of them whose y lies within ``margin`` of the
+    edge's y range.
+    """
+    pts = np.asarray(pts, float).reshape(-1, 2)
+    near = points_in_footprint(block, pts)
+    out = np.flatnonzero(~near)
+    order = np.argsort(pts[out, 1], kind="stable")
+    xs, ys = pts[out[order]].T
+    poly = boundary_polygon(block)
+    x0, y0 = poly[:-1, 0], poly[:-1, 1]
+    x1, y1 = poly[1:, 0], poly[1:, 1]
+    lo = np.searchsorted(ys, np.minimum(y0, y1) - margin)
+    hi = np.searchsorted(ys, np.maximum(y0, y1) + margin, side="right")
+    hit = np.zeros(out.size, bool)
+    for a0, b0, a1, b1, m, n in zip(x0, y0, x1, y1, lo, hi):
+        if m < n:
+            ex, ey = a1 - a0, b1 - b0
+            px, py = xs[m:n] - a0, ys[m:n] - b0
+            t = np.clip((px * ex + py * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+            hit[m:n] |= np.hypot(px - t * ex, py - t * ey) <= margin
+    near[out[order[hit]]] = True
+    return near
 
 
 def _bilinear_coeffs(block):
@@ -475,26 +509,36 @@ class CompositeSampler:
     Blocks are tried in the given priority order (pass the refined
     overlapping block first so its sharper solution wins inside the
     overlap); points outside every block clamp to the nearest element of
-    the last block.
+    the last block. A block before the last locates only the points
+    inside its footprint or near it, within ``FOOTPRINT_MARGIN`` times
+    its longest element edge (``points_near_footprint``): no point
+    farther out can be found in it, and locating one would cost Newton
+    in every k-d candidate and a walk.
     """
 
     def __init__(self, discs, coeffs_list):
         self.discs = list(discs)
         self.coeffs = list(coeffs_list)
         self.locators = [PointLocator(d.block) for d in self.discs]
+        self.margins = [FOOTPRINT_MARGIN * d.geo.h_max_edge.max()
+                        for d in self.discs]
 
     def states(self, pts):
         pts = np.asarray(pts, float).reshape(-1, 2)
         out = np.empty((4, len(pts)))
         todo = np.ones(len(pts), bool)
-        for k, (disc, loc, coeffs) in enumerate(
-                zip(self.discs, self.locators, self.coeffs)):
+        for k, (disc, loc, coeffs, margin) in enumerate(
+                zip(self.discs, self.locators, self.coeffs, self.margins)):
             if not todo.any():
                 break
             last = k == len(self.discs) - 1
-            found, ij, rs = loc.locate(pts[todo], clamp=last)
+            idx = np.flatnonzero(todo)
+            if not last:
+                idx = idx[points_near_footprint(disc.block, pts[idx],
+                                                margin)]
+            found, ij, rs = loc.locate(pts[idx], clamp=last)
             take = found | last
-            sel = np.where(todo)[0][take]
+            sel = idx[take]
             modes = disc.basis.eval_modes(rs[take, 0], rs[take, 1])
             c = coeffs[:, ij[take, 0], ij[take, 1]]    # (4, n, Np)
             out[:, sel] = np.einsum("qd,vqd->vq", modes, c, optimize=True)

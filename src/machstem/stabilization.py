@@ -90,12 +90,13 @@ def kxrcf_indicator(disc, coeffs, variables=(0,), threshold=1.0):
     the requested conserved variables, shape (ni, nj); ``flagged`` marks
     elements where it exceeds the threshold.
 
-    The traces are the block's scratch (``Discretization.face_traces``).
-    The jumps are formed per face pair, on each side's faces only, with
-    no copy of the neighbour traces; a boundary face adds nothing.
+    Only the variables read are traced (``Discretization.face_traces``):
+    density, both momenta and the requested ones. The jumps are formed
+    per face pair, on each side's faces only, with no copy of the
+    neighbour traces; a boundary face adds nothing.
     """
     basis, geo = disc.basis, disc.geo
-    traces = disc.face_traces(coeffs)
+    traces = disc.face_traces(coeffs[:max((2, *variables)) + 1])
     w1 = basis.q1d_weights
     # per face: (its selection, the neighbour's face, the neighbour's
     # selection) for each face pair it belongs to

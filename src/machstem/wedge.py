@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mesh
+from .config import GRID_RULE, valid_grid
 from .errors import ConfigError, MeasurementError
 from .gas import GasModel, free_stream, pressure, sound_speed
 
@@ -69,6 +70,10 @@ class FlowCase:
         if not self.domain_length_factor > 0.0:
             raise ConfigError("domain_length_factor must be positive "
                               f"(got {self.domain_length_factor})")
+        for name in ("coarse_grid", "fine_background_grid", "overset_grid"):
+            grid = getattr(self, name)
+            if not valid_grid(grid):
+                raise ConfigError(f"{name} must be {GRID_RULE} (got {grid})")
         geom = wedge_geometry(self)   # validates the wedge fits the channel
         if geom["x_te"] >= self.length:
             raise ConfigError(
@@ -136,6 +141,9 @@ def build_wedge_grid(case, ni, nj):
     every top face lies on the true boundary.  Top-side faces are walls
     up to the trailing edge and outflow behind the shoulder.
     """
+    if not valid_grid((ni, nj)):
+        raise ConfigError(f"the wedge grid must be {GRID_RULE} "
+                          f"(got {ni}x{nj})")
     geom = wedge_geometry(case)
     x1 = _station_array(case, ni)
     y_top = top_profile(case, x1)

@@ -1,8 +1,10 @@
+import gc
 import os
 import signal
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from machstem import dg, stabilization
 from machstem.basis import Basis, FACE_W, FACE_E, FACE_S, FACE_N
-from machstem.dg import Discretization
+from machstem.dg import FACES, Discretization
 from machstem.fluxes import get_flux
 from machstem.gas import (GasModel, conserved, flux as euler_flux,
                           free_stream, pressure)
@@ -433,6 +435,33 @@ def split_sizes(order):
     return 1, 3 * ROW_NJ * nq, 3 * ROW_NJ * nf, ROW_NI * ROW_NJ * nq
 
 
+def whole_block_surface_fluxes(disc, coeffs):
+    """The surface fluxes from whole-block face traces, one product per
+    face over every element, then each row range of a face pair and the
+    boundary batch in turn: ``_surface_fluxes`` must reproduce their
+    bits."""
+    v = slice(None)
+    nf = disc.basis.nq_1d
+    tr = {f: coeffs @ disc.basis.face_V[f].T for f in FACES}
+    S = np.empty((4, disc.block.ni, disc.block.nj, 4 * nf))
+    slot = {f: S[..., k * nf:(k + 1) * nf] for k, f in enumerate(FACES)}
+    for fa, sa, fb, sb, nx, ny, sj in disc._pair_rows:
+        fhat = disc.flux(tr[fa][(v, *sa)], tr[fb][(v, *sb)], nx, ny, GAS)
+        fhat *= sj
+        slot[fa][(v, *sa)] = fhat
+        slot[fb][(v, *sb)] = -fhat
+    if disc._bnd_sides:
+        q_in = np.empty((4, disc._bnd_sj.shape[1], nf))
+        for face, sel, rows, _ in disc._bnd_sides:
+            q_in[:, rows] = tr[face][(v, *sel)].reshape(4, -1, nf)
+        fhat = disc.flux(q_in, disc._ghost_states(q_in), disc._bnd_nx,
+                         disc._bnd_ny, GAS)
+        fhat *= disc._bnd_sj
+        for face, sel, rows, shape in disc._bnd_sides:
+            slot[face][(v, *sel)] = fhat[:, rows].reshape(4, *shape, nf)
+    return S
+
+
 def row_split_disc(monkeypatch, block_nodes, layout, order, flux_name,
                    masked, calls=None):
     monkeypatch.setattr(dg, "BLOCK_NODES", block_nodes)
@@ -454,12 +483,14 @@ def row_split_disc(monkeypatch, block_nodes, layout, order, flux_name,
 @pytest.mark.parametrize("masked", [False, True])
 def test_row_blocks_match_one_block(monkeypatch, order, flux_name, layout,
                                     masked):
-    """Uneven row splits give bit-identical face fluxes, and a residual
-    and wave speed within round-off of one block."""
+    """Uneven row splits, and one range per pair, give the face fluxes
+    of whole-block traces bit for bit (each task traces its own faces),
+    and a residual and wave speed within round-off of one block."""
     one = row_split_disc(monkeypatch, 10 ** 9, layout, order, flux_name,
                          masked)
     coeffs = random_admissible_state(one, seed=7 * order + masked)
-    S_ref = one._surface_fluxes(coeffs).copy()   # the block's scratch
+    S_ref = whole_block_surface_fluxes(one, coeffs)
+    assert np.array_equal(one._surface_fluxes(coeffs), S_ref)
     rhs_ref = one.residual(coeffs)
     lam_ref = one.max_wave_speed(coeffs)
     for block_nodes in split_sizes(order):
@@ -505,8 +536,8 @@ def test_residual_into_callers_array_matches_a_new_one(monkeypatch):
 
 
 def test_blocks_keep_their_own_scratch():
-    """Each block owns its trace and flux scratch: a call on another
-    block of the same shape leaves them alone, and residuals called in
+    """Each block owns its surface-flux array: a residual of another
+    block of the same shape leaves it alone, and residuals called in
     turn equal residuals of fresh blocks."""
     def pair():
         return (Discretization(wavy_block(6, 5), Basis(2), GAS),
@@ -519,16 +550,36 @@ def test_blocks_keep_their_own_scratch():
     cb = random_admissible_state(b, seed=2)
     fresh = [d.residual(c) for d, c in zip(pair(), (ca, cb))]
     S = a._surface_fluxes(ca)
-    traces = a.face_traces(ca)
-    kept = S.copy(), {f: t.copy() for f, t in traces.items()}
+    kept = S.copy()
     rb = b.residual(cb)
-    assert np.array_equal(S, kept[0])
-    assert all(np.array_equal(traces[f], kept[1][f]) for f in traces)
-    assert a.face_traces(ca) is traces and a._surface_fluxes(ca) is S
+    assert np.array_equal(S, kept)
+    assert a._surface_fluxes(ca) is S
     for _ in range(2):
         assert np.array_equal(a.residual(ca), fresh[0])
         assert np.array_equal(b.residual(cb), fresh[1])
     assert np.array_equal(rb, fresh[1])
+
+
+def test_block_keeps_only_its_surface_flux_array():
+    """After its first residual a P1 block holds one block-sized array,
+    its surface fluxes: the face traces live in the flux tasks."""
+    disc = Discretization(
+        wavy_block(40, 30, tags={FACE_W: TAG_INFLOW, FACE_E: TAG_OUTFLOW,
+                                 FACE_S: TAG_WALL, FACE_N: TAG_WALL}),
+        Basis(1), GAS, bc_state=free_stream(3.0, GAS))
+    coeffs = random_admissible_state(disc, seed=6)
+    out = np.empty(coeffs.shape)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        disc.residual(coeffs, out=out)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    S = disc._S.nbytes
+    assert S <= held <= S + S // 8
 
 
 def dipping_state(disc):

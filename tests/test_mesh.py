@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from machstem.basis import Basis, FACE_W, FACE_E, FACE_S, FACE_N
+from machstem.config import parse_config
 from machstem.mesh import (GridBlock, TAG_INFLOW, TAG_INTERFACE, TAG_OUTFLOW,
                            TAG_PERIODIC, TAG_WALL)
+from machstem.pipeline import build_aligned_grid
+from machstem.wedge import FlowCase, build_wedge_grid
 
 
 def cartesian_block(nx, ny, x0=0.0, x1=1.0, y0=0.0, y1=1.0, **kw):
@@ -185,3 +188,93 @@ def test_partly_periodic_side_rejected():
         cartesian_block(3, 2, tags={
             FACE_S: TAG_PERIODIC,
             FACE_N: [TAG_PERIODIC, TAG_WALL, TAG_PERIODIC]})
+
+
+# ---- node-major metrics -------------------------------------------------
+
+def reference_map_points(block, r, s):
+    """Element-major mapping, broadcasting each corner against the node
+    axis: ``GridBlock.map_points`` must reproduce its bits."""
+    c00, c10, c11, c01 = block.corners
+    n00 = (1 - r) * (1 - s) / 4.0
+    n10 = (1 + r) * (1 - s) / 4.0
+    n11 = (1 + r) * (1 + s) / 4.0
+    n01 = (1 - r) * (1 + s) / 4.0
+    return (c00[:, :, None, :] * n00[..., None]
+            + c10[:, :, None, :] * n10[..., None]
+            + c11[:, :, None, :] * n11[..., None]
+            + c01[:, :, None, :] * n01[..., None])
+
+
+def reference_metrics(block, r, s):
+    """Element-major x_r, y_r, x_s, y_s and det J, (ni, nj, npts)."""
+    c00, c10, c11, c01 = block.corners
+
+    def d_dr(k):
+        return ((c10[..., k] - c00[..., k])[:, :, None] * (1 - s) +
+                (c11[..., k] - c01[..., k])[:, :, None] * (1 + s)) / 4.0
+
+    def d_ds(k):
+        return ((c01[..., k] - c00[..., k])[:, :, None] * (1 - r) +
+                (c11[..., k] - c10[..., k])[:, :, None] * (1 + r)) / 4.0
+
+    x_r, y_r, x_s, y_s = d_dr(0), d_dr(1), d_ds(0), d_ds(1)
+    return x_r, y_r, x_s, y_s, x_r * y_s - x_s * y_r
+
+
+def sheared_block(nx, ny, shear=0.3):
+    xs = np.linspace(0.0, 2.0, nx + 1)
+    ys = np.linspace(0.0, 1.0, ny + 1)
+    verts = np.zeros((nx + 1, ny + 1, 2))
+    verts[..., 0] = xs[:, None] + shear * ys[None, :] ** 2
+    verts[..., 1] = ys[None, :] * (1.0 + 0.2 * xs[:, None])
+    return GridBlock(verts, name="sheared")
+
+
+def patch_block():
+    case = FlowCase(mach=3.0, wedge_angle_deg=24.0, coarse_grid=(150, 50),
+                    overset_grid=(30, 20))
+    cfg = parse_config(None, overrides={"case.coarse_grid": "150x50",
+                                        "case.overset_grid": "30x20"})
+    t = np.linspace(0.0, 1.0, 80)
+    ang = np.radians(-40.0)
+    band = np.column_stack([0.5 + t * np.cos(ang), 0.916 + t * np.sin(ang)])
+    return build_aligned_grid(case, cfg, band)
+
+
+METRIC_BLOCKS = {
+    "wedge": lambda: build_wedge_grid(FlowCase(mach=3.0,
+                                               wedge_angle_deg=24.0), 23, 9),
+    "sheared": lambda: sheared_block(11, 7),
+    "patch": patch_block,
+}
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize("kind", sorted(METRIC_BLOCKS))
+def test_node_major_geometry_matches_element_major_reference(kind, order):
+    """Every stored field, and the volume points mapped on read, has the
+    bits of the element-major build, stored contiguous (ni, nj, npts)."""
+    blk = METRIC_BLOCKS[kind]()
+    basis = Basis(order)
+    r, s = basis.vol_nodes.T
+    x_r, y_r, x_s, y_s, detJ = reference_metrics(blk, r, s)
+    g_r = np.sqrt(x_r ** 2 + y_r ** 2)
+    g_s = np.sqrt(x_s ** 2 + y_s ** 2)
+    want = {
+        "x_r": x_r, "y_r": y_r, "x_s": x_s, "y_s": y_s, "detJ": detJ,
+        "vol_points": reference_map_points(blk, r, s),
+        "minv_scale": basis.gauss_weights / reference_metrics(
+            blk, *basis.gauss_nodes.T)[4],
+        "element_area": np.einsum("q,ijq->ij", basis.vol_weights, detJ),
+        "h_dt": 2.0 * np.min(detJ / np.maximum(g_r, g_s), axis=2),
+    }
+    geo = blk.geometry(basis)
+    for name, ref in want.items():
+        got = getattr(geo, name)
+        assert got.flags.c_contiguous, name
+        assert got.shape == ref.shape and np.array_equal(got, ref), name
+    x1 = basis.q1d_nodes
+    for fr, fs in ((x1, -np.ones_like(x1)), (np.ones_like(x1), x1)):
+        assert np.array_equal(blk.map_points(fr, fs),
+                              reference_map_points(blk, fr, fs))

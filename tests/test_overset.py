@@ -15,7 +15,7 @@ from machstem.stabilization import (Stabilizer, _dips_below_floors,
 from machstem.timestepping import System, march_to_steady
 from machstem.wedge import FlowCase, build_wedge_grid
 from machstem.overset import (PointLocator, _newton_rs, points_in_footprint,
-                              boundary_polygon,
+                              points_near_footprint, boundary_polygon,
                               covered_elements, erosion_depth,
                               classify_background, overset_fringe,
                               TransferOp, OversetAssembly, CompositeSampler,
@@ -577,6 +577,83 @@ def test_project_between_preserves_polynomials():
     reverse = project_between(
         CompositeSampler([src, patch], [src_c, patch_c]), dst)
     assert np.allclose(reverse, dst.project(poly), atol=1e-11)
+
+
+def unfiltered_states(sampler, pts):
+    """Every block in turn locates every point no earlier block took:
+    the states ``CompositeSampler.states`` must reproduce bit for bit."""
+    out = np.empty((4, len(pts)))
+    todo = np.ones(len(pts), bool)
+    for k, (disc, loc, coeffs) in enumerate(
+            zip(sampler.discs, sampler.locators, sampler.coeffs)):
+        last = k == len(sampler.discs) - 1
+        found, ij, rs = loc.locate(pts[todo], clamp=last)
+        take = found | last
+        sel = np.where(todo)[0][take]
+        modes = disc.basis.eval_modes(rs[take, 0], rs[take, 1])
+        c = coeffs[:, ij[take, 0], ij[take, 1]]
+        out[:, sel] = np.einsum("qd,vqd->vq", modes, c, optimize=True)
+        todo[sel] = False
+    return out
+
+
+def trapezoid_patch():
+    """A sheared patch of trapezoids, inside the unit square."""
+    xs = np.linspace(0.0, 1.0, 8)
+    ys = np.linspace(0.0, 1.0, 6)
+    verts = np.zeros((8, 6, 2))
+    verts[..., 0] = 0.2 + 0.5 * xs[:, None] + 0.1 * ys[None, :]
+    verts[..., 1] = 0.15 + ys[None, :] * (0.4 + 0.3 * xs[:, None]) \
+        + 0.1 * xs[:, None]
+    return GridBlock(verts, name="patch")
+
+
+SAMPLER_BLOCKS = (trapezoid_patch(), sheared_block(11, 9, -0.1, 1.0, -0.1,
+                                                    1.05, shear=0.1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.data())
+def test_sampler_locates_near_its_patch_as_it_locates_everywhere(seed, data):
+    """A patch that is not the last block locates only the points near
+    its footprint, and every point gets the bits of locating all of them
+    in it: points around the blocks, and points 1e-12 to 1e-6 inside and
+    outside the patch's perimeter edges, or on them."""
+    rng = np.random.default_rng(seed)
+    discs = [Discretization(b, Basis(2), GAS) for b in SAMPLER_BLOCKS]
+    coeffs = [rng.standard_normal((4, b.ni, b.nj, 9))
+              for b in SAMPLER_BLOCKS]
+    sampler = CompositeSampler(discs, coeffs)
+    poly = boundary_polygon(SAMPLER_BLOCKS[0])
+    n = data.draw(st.integers(1, 40))
+    edge = np.array(data.draw(st.lists(st.integers(0, len(poly) - 2),
+                                       min_size=n, max_size=n)))
+    t = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0])
+                                    | st.floats(0.0, 1.0),
+                                    min_size=n, max_size=n)))
+    gap = np.array(data.draw(st.lists(
+        st.sampled_from([0.0]) | st.floats(-12.0, -6.0).map(lambda e: 10 ** e)
+        | st.floats(-12.0, -6.0).map(lambda e: -10 ** e),
+        min_size=n, max_size=n)))
+    a, b = poly[edge], poly[edge + 1]
+    along = b - a
+    # the perimeter runs counterclockwise, so (t_y, -t_x) points out
+    out = np.column_stack([along[:, 1], -along[:, 0]])
+    out /= np.hypot(out[:, 0], out[:, 1])[:, None]
+    rim = a + t[:, None] * along + gap[:, None] * out
+    around = rng.uniform(-0.2, 1.2, (60, 2))
+    pts = np.vstack([rim, around])
+    assert np.array_equal(sampler.states(pts),
+                          unfiltered_states(sampler, pts))
+    loc = sampler.locators[0]
+    found, ij, rs = loc.locate(pts)
+    near = points_near_footprint(SAMPLER_BLOCKS[0], pts,
+                                 sampler.margins[0])
+    assert not (found & ~near).any()
+    assert near[points_in_footprint(SAMPLER_BLOCKS[0], pts)].all()
+    for got, want in zip(loc.locate(pts[near]),
+                         (found[near], ij[near], rs[near])):
+        assert np.array_equal(got, want)
 
 
 def test_project_between_clamps_marginal_points():

@@ -47,6 +47,20 @@ def test_case_validation():
         FlowCase(mach=3.0, wedge_angle_deg=20.0, aspect=0.0)
 
 
+@pytest.mark.parametrize("grid", ["coarse_grid", "fine_background_grid",
+                                  "overset_grid"])
+@pytest.mark.parametrize("shape", [(2, 4), (3, 0)])
+def test_case_rejects_grids_config_rejects(grid, shape):
+    """A grid the config schema rejects fails the case too, with the
+    schema's rule: an inlet section, the wedge and the section behind it
+    each need a column."""
+    with pytest.raises(ConfigError, match=f"{grid} must be NIxNJ with "
+                                          "NI >= 3 and NJ > 0"):
+        FlowCase(mach=3.0, wedge_angle_deg=24.0, **{grid: shape})
+    with pytest.raises(ConfigError, match="NI >= 3"):
+        build_wedge_grid(FlowCase(mach=3.0, wedge_angle_deg=24.0), *shape)
+
+
 def test_wedge_geometry_trailing_edge():
     case = FlowCase(mach=3.0, wedge_angle_deg=24.0)
     geo = wedge_geometry(case)
