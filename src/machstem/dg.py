@@ -52,9 +52,17 @@ a single row block.
 The element-local passes run on ``Discretization.row_blocks``: a row
 block whose elements are all active is selected by its slice, a view;
 one with no active element is left out; a partly active one gathers its
-active elements. The face fluxes are computed on the whole block through
-the face table's slices, one call per row range of each face pair, which
-is cheaper than gathering the faces of the active elements.
+active elements. The face fluxes are computed through the face table's
+slices, one call per row range of each face pair, which is cheaper than
+gathering the faces of the active elements. The ranges cover a pair's
+live rows only, from the first to the last row with an active element
+on either side of one of its faces: setting ``active_mask`` cuts them
+into the fewest ranges of at most the row-block height, of sizes that
+differ by one at most, and a pair with no live row gets none. A patch
+that runs to the exit leaves 43 of the fine background's 100 rows
+without an active element; dropping only whole ranges skipped nothing,
+as they straddle the patch's edge, and trimming them left a 54-row and a
+3-row range, which the pool's two shares (below) split unevenly.
 
 Each flux call's task traces its own faces: it evaluates the selected
 elements' modes at the face points, a product of the (4, rows, columns,
@@ -64,7 +72,13 @@ product with one column, a single matrix row, takes a matrix-vector
 kernel that rounds differently, so a one-column selection (a south or
 north boundary side, a periodic south-north wrap) is flattened over
 variables and rows first. Every trace then has the bits of a product
-over the whole block, whatever the row ranges.
+over the whole block, whatever the row ranges. The task also repeats its
+faces' normals and sJ over the face points, so that the flux kernels
+(``fluxes``) and the product with sJ run on face-shaped arrays, and it
+drops them with its traces. It copies flux*sJ into face a's slots and
+negates it into face b's from its own array: reading a's slots back
+instead costs more than the product saves, as a slot is a run of only
+nq_1d points.
 
 Which element lies across each face comes from the block's face table
 (``GridBlock.face_pairs``): interior faces, and periodic sides, which
@@ -76,8 +90,8 @@ one vectorised pass builds every ghost state of the batch from the per-face
 tags: inflow (free-stream Dirichlet through the flux), outflow
 (zero-gradient copy), slip wall (normal-velocity mirror), and interface
 (copy; the overset layer owns those faces by overwriting fringe
-coefficients). A residual thus makes one flux call per row range of
-every face pair, plus one for the batch unless the block is fully
+coefficients). A residual thus makes one flux call per live row range
+of every face pair, plus one for the batch unless the block is fully
 periodic. The flux is pointwise, so the row ranges and the batch give
 the same face values as one call per pair and per side.
 
@@ -105,10 +119,12 @@ Each ``Discretization`` owns one surface-flux array (4, ni, nj,
 4 * nq_1d), allocated by the first residual and kept for the block's
 life, so a march does not allocate, free and fault in a block-sized
 array at every residual. ``_surface_fluxes`` returns it, and the next
-call on the same block overwrites it; copy what must outlive it. The
-face traces are not kept: each flux task's traces span its row range
-only, and ``face_traces`` returns new arrays. ``residual`` writes into
-the caller's array when given one.
+call on the same block overwrites it; copy what must outlive it. It is
+defined only at the faces of active elements: the faces of dead rows
+keep whatever they held. Nothing per face point is kept besides it: each
+flux task's traces, normals and sJ span its row range only, and
+``face_traces`` returns new arrays. ``residual`` writes into the
+caller's array when given one.
 """
 
 from __future__ import annotations
@@ -137,6 +153,15 @@ def _row_ranges(n, height):
     """Consecutive ranges of at most ``height`` (at least 1) of n rows."""
     height = max(1, height)
     return [slice(a, min(a + height, n)) for a in range(0, n, height)]
+
+
+def _even_ranges(lo, hi, height):
+    """Rows lo to hi - 1 cut into the fewest consecutive ranges of at most
+    ``height`` (at least 1) rows, of sizes that differ by one at most."""
+    n = int(hi - lo)
+    k = -(-n // max(1, height))
+    return [slice(int(lo) + n * m // k, int(lo) + n * (m + 1) // k)
+            for m in range(k)]
 
 
 def _cpus():
@@ -238,43 +263,21 @@ class Discretization:
         self.skewed = np.flatnonzero(shift.any(axis=-1))
         self.mean_shift = shift.reshape(block.ni * block.nj,
                                         basis.n_modes - 1)[self.skewed]
-        self._pair_table()
         self._boundary_table()
         # the surface-flux scratch (module docstring), allocated by the
         # first residual
         self._S = None
-
-    def _pair_table(self):
-        """Each face pair cut into row ranges (module docstring).
-
-        ``_pair_rows`` holds one ``(face_a, sel_a, face_b, sel_b, nx, ny,
-        sj)`` per row range: the pair restricted to those rows of its
-        elements, with face a's normals (..., 1) and ``face_sj``
-        (1, ..., 1) there, all views.
-        """
-        geo, block = self.geo, self.block
-        height = BLOCK_NODES // (block.nj * self.basis.nq_1d)
-        self._pair_rows = []
-        for fa, sa, fb, sb in block.face_pairs:
-            a0, a1, _ = sa[0].indices(block.ni)
-            b0 = sb[0].indices(block.ni)[0]
-            for r in _row_ranges(a1 - a0, height):
-                ra = (slice(a0 + r.start, a0 + r.stop), sa[1])
-                rb = (slice(b0 + r.start, b0 + r.stop), sb[1])
-                n = geo.face_normal[fa][ra]
-                self._pair_rows.append(
-                    (fa, ra, fb, rb, n[..., 0, None], n[..., 1, None],
-                     geo.face_sj[fa][ra][None, ..., None]))
 
     def _boundary_table(self):
         """The batch of all boundary-side faces (module docstring).
 
         ``_bnd_sides`` holds one ``(face, sel, rows, shape)`` per side:
         its faces are rows ``rows`` of the batch and have the element
-        shape ``shape`` in the block. The batch's outward normals
-        (n, 1) and ``face_sj`` (1, n, 1) broadcast against its
-        (4, n, nq) traces; ``_bnd_tagged`` maps each ghost-building tag
-        present to the rows that carry it and their normals.
+        shape ``shape`` in the block. ``_bnd_geo`` holds the batch's
+        outward normals and ``face_sj``, (3, n): one value per face,
+        which the flux call repeats over the face points;
+        ``_bnd_tagged`` maps each ghost-building tag present to the rows
+        that carry it.
         """
         geo, block = self.geo, self.block
         sides = block.boundary_sides
@@ -287,11 +290,10 @@ class Discretization:
             rows = slice(start, start + shape[0] * shape[1])
             self._bnd_sides.append((face, sel, rows, shape))
             start = rows.stop
-        nrm = np.concatenate([geo.face_normal[f][s].reshape(-1, 2)
-                              for f, s in sides])
-        self._bnd_nx, self._bnd_ny = nrm[:, 0, None], nrm[:, 1, None]
-        self._bnd_sj = np.concatenate(
-            [geo.face_sj[f][s].ravel() for f, s in sides])[None, :, None]
+        self._bnd_geo = np.concatenate(
+            [np.concatenate([geo.face_normal[f][s].reshape(-1, 2).T,
+                             geo.face_sj[f][s].reshape(1, -1)])
+             for f, s in sides], axis=1)
         tags = np.concatenate([block.tags[f] for f, _ in sides])
         self._bnd_tagged = {}
         for tag in (TAG_OUTFLOW, TAG_WALL, TAG_INFLOW):
@@ -300,8 +302,7 @@ class Discretization:
                 continue
             if rows[-1] - rows[0] + 1 == rows.size:  # contiguous: a view
                 rows = slice(rows[0], rows[-1] + 1)
-            self._bnd_tagged[tag] = (rows, self._bnd_nx[rows],
-                                     self._bnd_ny[rows])
+            self._bnd_tagged[tag] = rows
 
     @property
     def active_mask(self):
@@ -340,6 +341,21 @@ class Discretization:
         self._row_metrics = tuple(
             tuple(m[sel] for m in (geo.x_r, geo.x_s, geo.y_r, geo.y_s))
             for sel in blocks)
+        # the row ranges of each face pair's live rows (module docstring):
+        # one (face_a, sel_a, face_b, sel_b) per range, the pair
+        # restricted to those rows of its elements
+        height = BLOCK_NODES // (shape[1] * self.basis.nq_1d)
+        pair_rows = []
+        for fa, sa, fb, sb in self.block.face_pairs:
+            live = np.flatnonzero(mask[sa].any(axis=1) | mask[sb].any(axis=1))
+            if live.size == 0:
+                continue
+            a0, b0 = sa[0].indices(shape[0])[0], sb[0].indices(shape[0])[0]
+            for r in _even_ranges(live[0], live[-1] + 1, height):
+                pair_rows.append(
+                    (fa, (slice(a0 + r.start, a0 + r.stop), sa[1]),
+                     fb, (slice(b0 + r.start, b0 + r.stop), sb[1])))
+        self._pair_rows = tuple(pair_rows)
 
     # ---- projection / evaluation -------------------------------------
     def project(self, fn):
@@ -427,9 +443,10 @@ class Discretization:
         return out
 
     # ---- boundary ghosts ---------------------------------------------
-    def _ghost_states(self, q_in):
+    def _ghost_states(self, q_in, nx, ny):
         """Ghost traces of the boundary-face batch, from its interior
-        traces ``q_in`` (4, n_boundary_faces, nq), in one pass."""
+        traces ``q_in`` (4, n_boundary_faces, nq) and its outward
+        normals ``nx``, ``ny`` (n_boundary_faces, nq), in one pass."""
         ghost = q_in.copy()  # outflow / interface default: zero gradient
         tagged = self._bnd_tagged
         if TAG_OUTFLOW in tagged:
@@ -437,35 +454,36 @@ class Discretization:
             # mass back in (re-entrant normal momentum) gets its normal
             # momentum clipped to zero, otherwise the boundary acts as a
             # reservoir feeding spurious unstarted states
-            rows, nx, ny = tagged[TAG_OUTFLOW]
-            qo = q_in[:, rows]
-            neg = np.minimum(qo[1] * nx + qo[2] * ny, 0.0)
-            ghost[1, rows] = qo[1] - neg * nx
-            ghost[2, rows] = qo[2] - neg * ny
+            rows = tagged[TAG_OUTFLOW]
+            qo, nxo, nyo = q_in[:, rows], nx[rows], ny[rows]
+            neg = np.minimum(qo[1] * nxo + qo[2] * nyo, 0.0)
+            ghost[1, rows] = qo[1] - neg * nxo
+            ghost[2, rows] = qo[2] - neg * nyo
         if TAG_WALL in tagged:
-            rows, nx, ny = tagged[TAG_WALL]
-            qw = q_in[:, rows]
-            vn = qw[1] * nx + qw[2] * ny
-            ghost[1, rows] = qw[1] - 2.0 * vn * nx
-            ghost[2, rows] = qw[2] - 2.0 * vn * ny
+            rows = tagged[TAG_WALL]
+            qw, nxw, nyw = q_in[:, rows], nx[rows], ny[rows]
+            vn = qw[1] * nxw + qw[2] * nyw
+            ghost[1, rows] = qw[1] - 2.0 * vn * nxw
+            ghost[2, rows] = qw[2] - 2.0 * vn * nyw
         if TAG_INFLOW in tagged:
             if self.bc_state is None:
                 raise ValueError(
                     f"block {self.block.name!r}: inflow tag present but no "
                     "free-stream state was given")
-            ghost[:, tagged[TAG_INFLOW][0]] = self.bc_state[:, None, None]
+            ghost[:, tagged[TAG_INFLOW]] = self.bc_state[:, None, None]
         return ghost
 
     # ---- residual ----------------------------------------------------
     def _surface_fluxes(self, coeffs):
-        """flux*sJ at every element face, (4, ni, nj, 4 * nq_1d): face
-        k's quadrature points are slot k, faces in ``FACES`` order. One
-        flux per face pair, added to one side and subtracted from the
-        other, one flux call per row range of a pair (``_pair_rows``),
-        each on traces its own task takes. The result is the block's
-        surface-flux scratch, which the next call overwrites (module
-        docstring)."""
-        gas = self.gas
+        """flux*sJ at the faces of the active elements, (4, ni, nj,
+        4 * nq_1d): face k's quadrature points are slot k, faces in
+        ``FACES`` order. One flux per face pair, added to one side and
+        subtracted from the other, one flux call per live row range of
+        a pair (``_pair_rows``), each on traces, normals and sJ its own
+        task builds. The faces of inactive elements keep whatever they
+        held. The result is the block's surface-flux scratch, which the
+        next call overwrites (module docstring)."""
+        gas, geo = self.gas, self.geo
         v = slice(None)  # the variable axis, ahead of an element selection
         nf = self.basis.nq_1d
         face_V = self.basis.face_V
@@ -484,21 +502,27 @@ class Discretization:
             return (c.reshape(-1, c.shape[-1])
                     @ face_V[face].T).reshape(*c.shape[:-1], nf)
 
-        def pair(fa, sa, fb, sb, nx, ny, sj):
+        def at_points(a):
+            # a value per face, (..., faces), repeated over its points
+            return np.repeat(a, nf).reshape(*a.shape, nf)
+
+        def pair(fa, sa, fb, sb):
+            nx, ny = at_points(geo.face_normal[fa][sa].transpose(2, 0, 1))
             fhat = self.flux(trace(fa, sa), trace(fb, sb), nx, ny, gas)
-            fhat *= sj
+            fhat *= at_points(geo.face_sj[fa][sa])
             slot[fa][(v, *sa)] = fhat
             np.negative(fhat, out=slot[fb][(v, *sb)])
 
         def boundary():
             # every boundary side in one batch: trace, ghost, one flux
             # call, scatter back into the slots
-            q_in = np.empty((4, self._bnd_sj.shape[1], nf))
+            nx, ny, sj = at_points(self._bnd_geo)
+            q_in = np.empty((4, sj.shape[0], nf))
             for face, sel, rows, _ in self._bnd_sides:
                 q_in[:, rows] = trace(face, sel).reshape(4, -1, nf)
-            fhat = self.flux(q_in, self._ghost_states(q_in),
-                             self._bnd_nx, self._bnd_ny, gas)
-            fhat *= self._bnd_sj
+            fhat = self.flux(q_in, self._ghost_states(q_in, nx, ny),
+                             nx, ny, gas)
+            fhat *= sj
             for face, sel, rows, shape in self._bnd_sides:
                 slot[face][(v, *sel)] = fhat[:, rows].reshape(4, *shape, nf)
 

@@ -83,6 +83,22 @@ RHO_FLOOR = 1e-8
 P_FLOOR = 1e-10
 
 
+def _fold(ufunc, a):
+    """``ufunc`` folded over the last axis of ``a``, left to right, by
+    whole slices: inner loops over the other axes rather than one loop
+    of a few terms per element.
+
+    For ``np.add`` and an axis shorter than 8 (face points up to P5) this
+    has the bits of ``a.sum(axis=-1)``: numpy sums a contiguous axis
+    pairwise, which for fewer than 8 terms is left to right. For
+    ``np.maximum`` any order gives the bits of ``a.max(axis=-1)``.
+    """
+    out = ufunc(a[..., 0], a[..., 1])
+    for k in range(2, a.shape[-1]):
+        ufunc(out, a[..., k], out=out)
+    return out
+
+
 def kxrcf_indicator(disc, coeffs, variables=(0,), threshold=1.0):
     """Inflow-boundary jump indicator.
 
@@ -93,11 +109,16 @@ def kxrcf_indicator(disc, coeffs, variables=(0,), threshold=1.0):
     Only the variables read are traced (``Discretization.face_traces``):
     density, both momenta and the requested ones. The jumps are formed
     per face pair, on each side's faces only, with no copy of the
-    neighbour traces; a boundary face adds nothing.
+    neighbour traces; a boundary face adds nothing. One face at a time,
+    the inflow weights w sJ are built face-shaped, from sJ repeated over
+    the face points and w tiled over one row of faces, and zeroed off the
+    inflow points. Sums and maxima over the face points and the volume
+    nodes fold whole slices (``_fold``).
     """
     basis, geo = disc.basis, disc.geo
     traces = disc.face_traces(coeffs[:max((2, *variables)) + 1])
-    w1 = basis.q1d_weights
+    nf = basis.nq_1d
+    w_row = np.tile(basis.q1d_weights, (disc.block.nj, 1))
     # per face: (its selection, the neighbour's face, the neighbour's
     # selection) for each face pair it belongs to
     across = {f: [] for f in traces}
@@ -114,20 +135,23 @@ def kxrcf_indicator(disc, coeffs, variables=(0,), threshold=1.0):
         n = geo.face_normal[face]
         with np.errstate(invalid="ignore", divide="ignore"):
             vn = (tr[1] * n[..., 0, None] + tr[2] * n[..., 1, None]) / tr[0]
-            inflow = vn < 0.0
-        wgt = inflow * w1 * geo.face_sj[face][..., None]
-        inflow_len += wgt.sum(axis=2)
+        sj = geo.face_sj[face]
+        wgt = np.repeat(sj, nf).reshape(*sj.shape, nf)
+        wgt *= w_row
+        wgt *= vn < 0.0
+        inflow_len += _fold(np.add, wgt)
         for own, other, at in across[face]:
             for k, v in enumerate(variables):
                 jump = tr[(v, *own)] - traces[other][(v, *at)]
-                num[k][own] += (jump * wgt[own]).sum(axis=2)
+                jump *= wgt[own]
+                num[k][own] += _fold(np.add, jump)
 
-    vals = disc.evaluate(coeffs[list(variables)])
     ind = np.zeros_like(inflow_len)
     active = inflow_len > 0.0
     hpow = geo.h_max_edge ** (0.5 * (basis.order + 1))
-    for k in range(len(variables)):
-        norm = np.max(np.abs(vals[k]), axis=2)
+    for k, v in enumerate(variables):
+        vals = disc.evaluate(coeffs[v])
+        norm = _fold(np.maximum, np.abs(vals, out=vals))
         den = hpow * inflow_len * np.maximum(norm, 1e-300)
         with np.errstate(invalid="ignore"):
             ind_v = np.where(active, np.abs(num[k]) / den, 0.0)

@@ -110,7 +110,8 @@ class System:
 
 class MarchResult:
     def __init__(self, outcome, iterations, residual, history):
-        self.outcome = outcome          # converged | max_iterations | diverged
+        # converged | max_iterations | stalled | diverged
+        self.outcome = outcome
         self.iterations = iterations
         self.residual = residual
         # rows (iter, residual, wavespeed, dt, physical time t after the

@@ -436,30 +436,55 @@ def split_sizes(order):
 
 
 def whole_block_surface_fluxes(disc, coeffs):
-    """The surface fluxes from whole-block face traces, one product per
-    face over every element, then each row range of a face pair and the
-    boundary batch in turn: ``_surface_fluxes`` must reproduce their
-    bits."""
+    """The surface fluxes from the block's face table and geometry alone:
+    whole-block face traces, one product per face over every element,
+    then one flux call per face pair and one for the boundary sides, side
+    after side, with ``geo.face_normal`` and ``geo.face_sj`` broadcast
+    over the face points. ``_surface_fluxes`` must reproduce their bits
+    at the faces of the active elements."""
     v = slice(None)
+    geo, sides = disc.geo, disc.block.boundary_sides
     nf = disc.basis.nq_1d
     tr = {f: coeffs @ disc.basis.face_V[f].T for f in FACES}
     S = np.empty((4, disc.block.ni, disc.block.nj, 4 * nf))
     slot = {f: S[..., k * nf:(k + 1) * nf] for k, f in enumerate(FACES)}
-    for fa, sa, fb, sb, nx, ny, sj in disc._pair_rows:
-        fhat = disc.flux(tr[fa][(v, *sa)], tr[fb][(v, *sb)], nx, ny, GAS)
-        fhat *= sj
+    for fa, sa, fb, sb in disc.block.face_pairs:
+        n = geo.face_normal[fa][sa]
+        fhat = disc.flux(tr[fa][(v, *sa)], tr[fb][(v, *sb)], n[..., 0, None],
+                         n[..., 1, None], GAS)
+        fhat *= geo.face_sj[fa][sa][..., None]
         slot[fa][(v, *sa)] = fhat
         slot[fb][(v, *sb)] = -fhat
-    if disc._bnd_sides:
-        q_in = np.empty((4, disc._bnd_sj.shape[1], nf))
-        for face, sel, rows, _ in disc._bnd_sides:
-            q_in[:, rows] = tr[face][(v, *sel)].reshape(4, -1, nf)
-        fhat = disc.flux(q_in, disc._ghost_states(q_in), disc._bnd_nx,
-                         disc._bnd_ny, GAS)
-        fhat *= disc._bnd_sj
-        for face, sel, rows, shape in disc._bnd_sides:
-            slot[face][(v, *sel)] = fhat[:, rows].reshape(4, *shape, nf)
+    if sides:
+        q_in = np.concatenate([tr[f][(v, *s)].reshape(4, -1, nf)
+                               for f, s in sides], axis=1)
+        n = np.concatenate([geo.face_normal[f][s].reshape(-1, 2)
+                            for f, s in sides])
+        nx, ny = n[:, 0, None], n[:, 1, None]
+        fhat = disc.flux(q_in, disc._ghost_states(q_in, nx, ny), nx, ny,
+                         GAS)
+        fhat *= np.concatenate([geo.face_sj[f][s].ravel()
+                                for f, s in sides])[:, None]
+        start = 0
+        for f, s in sides:
+            shape = geo.face_sj[f][s].shape
+            stop = start + shape[0] * shape[1]
+            slot[f][(v, *s)] = fhat[:, start:stop].reshape(4, *shape, nf)
+            start = stop
     return S
+
+
+def live_ranges(disc, height):
+    """The number of ranges of at most ``height`` rows that cover, for
+    every face pair, the rows from the first to the last with an active
+    element on either side of one of their faces."""
+    mask = disc.active_mask
+    count = 0
+    for _, sa, _, sb in disc.block.face_pairs:
+        live = np.flatnonzero(mask[sa].any(axis=1) | mask[sb].any(axis=1))
+        if live.size:
+            count += -(-(live[-1] + 1 - live[0]) // height)
+    return count
 
 
 def row_split_disc(monkeypatch, block_nodes, layout, order, flux_name,
@@ -484,13 +509,16 @@ def row_split_disc(monkeypatch, block_nodes, layout, order, flux_name,
 def test_row_blocks_match_one_block(monkeypatch, order, flux_name, layout,
                                     masked):
     """Uneven row splits, and one range per pair, give the face fluxes
-    of whole-block traces bit for bit (each task traces its own faces),
-    and a residual and wave speed within round-off of one block."""
+    of whole-block traces bit for bit at the faces of the active elements
+    (each task traces its own faces) with one flux call per live row
+    range, and a residual and wave speed within round-off of one
+    block."""
     one = row_split_disc(monkeypatch, 10 ** 9, layout, order, flux_name,
                          masked)
     coeffs = random_admissible_state(one, seed=7 * order + masked)
-    S_ref = whole_block_surface_fluxes(one, coeffs)
-    assert np.array_equal(one._surface_fluxes(coeffs), S_ref)
+    on = one.active_mask
+    S_ref = whole_block_surface_fluxes(one, coeffs)[:, on]
+    assert np.array_equal(one._surface_fluxes(coeffs)[:, on], S_ref)
     rhs_ref = one.residual(coeffs)
     lam_ref = one.max_wave_speed(coeffs)
     for block_nodes in split_sizes(order):
@@ -505,11 +533,10 @@ def test_row_blocks_match_one_block(monkeypatch, order, flux_name, layout,
             rows = np.arange(ROW_NI)[sel[0]]
             assert isinstance(sel[0], slice) == disc.active_mask[rows].all()
         assert np.array_equal(cover, disc.active_mask)
-        assert np.array_equal(disc._surface_fluxes(coeffs), S_ref)
+        assert np.array_equal(disc._surface_fluxes(coeffs)[:, on], S_ref)
         height = max(1, block_nodes // (ROW_NJ * (order + 2)))
-        ranges = sum(-(-len(range(*sa[0].indices(ROW_NI))) // height)
-                     for _, sa, _, _ in disc.block.face_pairs)
-        assert len(calls) == ranges + bool(disc.block.boundary_sides)
+        assert len(calls) == (live_ranges(disc, height)
+                              + bool(disc.block.boundary_sides))
         rhs = disc.residual(coeffs)
         assert np.all(rhs[:, ~disc.active_mask] == 0.0)
         assert (np.max(np.abs(rhs - rhs_ref))
@@ -561,8 +588,11 @@ def test_blocks_keep_their_own_scratch():
 
 
 def test_block_keeps_only_its_surface_flux_array():
-    """After its first residual a P1 block holds one block-sized array,
-    its surface fluxes: the face traces live in the flux tasks."""
+    """After its first residual, and an indicator call, a P1 block holds
+    one block-sized array, its surface fluxes: the face traces, the
+    face-shaped normals and sJ of the flux tasks and the indicator's
+    weights all live in the calls that build them. Any one of them kept
+    over the block's faces would hold an (ni, nj, nq_1d) array."""
     disc = Discretization(
         wavy_block(40, 30, tags={FACE_W: TAG_INFLOW, FACE_E: TAG_OUTFLOW,
                                  FACE_S: TAG_WALL, FACE_N: TAG_WALL}),
@@ -574,12 +604,65 @@ def test_block_keeps_only_its_surface_flux_array():
     try:
         before = tracemalloc.get_traced_memory()[0]
         disc.residual(coeffs, out=out)
+        stabilization.kxrcf_indicator(disc, coeffs, (0, 3))
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     S = disc._S.nbytes
-    assert S <= held <= S + S // 8
+    face_shaped = 40 * 30 * disc.basis.nq_1d * 8
+    assert S <= held < S + face_shaped
+
+
+# ---- live face rows ---------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 53, 55, 108])
+@pytest.mark.parametrize("height", [0, 7, 54])
+def test_even_ranges_cover_the_rows_in_the_fewest_even_ranges(n, height):
+    lo = 3
+    ranges = dg._even_ranges(lo, lo + n, height)
+    sizes = [r.stop - r.start for r in ranges]
+    assert ranges[0].start == lo and ranges[-1].stop == lo + n
+    assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
+    assert len(ranges) == -(-n // max(1, height))
+    assert max(sizes) <= max(1, height) and max(sizes) - min(sizes) <= 1
+
+
+def test_face_rows_without_an_active_element_get_no_flux(monkeypatch):
+    """With element rows 0-2 inactive and a hole in rows 5-6, 3-row face
+    ranges straddle the edge of the active rows. A NaN-filled surface-flux
+    array leaves the active elements' residual equal to one from the
+    whole-block reference fluxes, and finite, while the faces between
+    inactive elements keep their NaN. Once the mask is widened, the newly
+    active rows get their fluxes."""
+    calls = []
+    disc = row_split_disc(monkeypatch, 3 * ROW_NJ * 3, "wedge", 1,
+                          "slau2", masked=True, calls=calls)
+    coeffs = random_admissible_state(disc, seed=9)
+    nf = disc.basis.nq_1d
+
+    def check():
+        disc._surface_fluxes = lambda c: whole_block_surface_fluxes(disc, c)
+        want = disc.residual(coeffs)
+        del disc._surface_fluxes
+        disc._S = np.full((4, ROW_NI, ROW_NJ, 4 * nf), np.nan)
+        del calls[:]
+        got = disc.residual(coeffs)
+        on = disc.active_mask
+        assert np.array_equal(got[:, on], want[:, on])
+        assert np.all(np.isfinite(got[:, on]))
+        # one flux call per live 3-row range, and the boundary batch
+        assert len(calls) == live_ranges(disc, 3) + 1
+        return disc._S
+
+    S = check()
+    # the east faces of rows 0-1 and the south faces of rows 0-2 border
+    # inactive elements only: no flux call wrote them
+    assert np.all(np.isnan(S[:, :2, :, nf:2 * nf]))
+    assert np.all(np.isnan(S[:, :3, 1:, 2 * nf:3 * nf]))
+    assert not np.isnan(S[:, 2, :, nf:2 * nf]).any()
+    disc.active_mask = np.ones((ROW_NI, ROW_NJ), bool)
+    assert np.all(np.isfinite(check()))
 
 
 def dipping_state(disc):
@@ -829,7 +912,7 @@ def test_a_raising_task_surfaces_after_every_share_ends(monkeypatch,
         with lock:
             state["running"] += 1
         try:
-            if nx is bad[0]:
+            if qL.shape == bad[0].shape and np.array_equal(qL, bad[0]):
                 raise FloatingPointError("bad row range")
             time.sleep(0.01)
             return get_flux("lax_friedrichs")(qL, qR, nx, ny, gas)
@@ -839,8 +922,9 @@ def test_a_raising_task_surfaces_after_every_share_ends(monkeypatch,
                 state["done"] += 1
 
     disc = pool_wedge_disc(flux)
-    bad.append(disc._pair_rows[bad_task][4])
     coeffs = random_admissible_state(disc, seed=3)
+    face, sel = disc._pair_rows[bad_task][:2]
+    bad.append(coeffs[(slice(None), *sel)] @ disc.basis.face_V[face].T)
     with pytest.raises(FloatingPointError, match="bad row range"):
         disc.residual(coeffs)
     done = state["done"]
