@@ -16,7 +16,13 @@ approximation, only because every element is a straight-sided bilinear
 quad: det J is bilinear, so N+1 Gauss points per direction integrate the
 mass matrix exactly (Hesthaven & Warburton 2008, sec. 6; the exact case
 of the weight-adjusted inverse of Chan, Hewett & Warburton, SIAM J. Sci.
-Comput. 39, 2017). No per-element matrix is built or stored.
+Comput. 39, 2017). No per-element matrix is built or stored. The
+residual folds the first factor, V_g^T, into its three precomputed
+operators (the two weighted volume derivatives and the lift), which so
+end at the Gauss points: each volume task sums its three products
+there, scales them by w_g / J and multiplies by V_g once, one product
+per element and variable fewer than the modal right-hand side followed
+by ``inverse_mass``. The two differ by rounding only.
 
 Coefficient layout: ``(4, ni, nj, n_modes)`` — variable first, element
 grid, then modal index.
@@ -75,10 +81,18 @@ variables and rows first. Every trace then has the bits of a product
 over the whole block, whatever the row ranges. The task also repeats its
 faces' normals and sJ over the face points, so that the flux kernels
 (``fluxes``) and the product with sJ run on face-shaped arrays, and it
-drops them with its traces. It copies flux*sJ into face a's slots and
-negates it into face b's from its own array: reading a's slots back
-instead costs more than the product saves, as a slot is a run of only
-nq_1d points.
+drops them with its traces. It scales the flux by sJ in place, copies
+it into face a's slots, negates it in place and copies it into face b's.
+A slot is a run of only nq_1d points, so a float store into the slots
+runs an inner loop of nq_1d points per slot. The copies move each slot
+as one element of nq_1d * 8 bytes instead (a void dtype view of the
+array and of the flux's runs), one inner loop per row of slots: bytes
+copied, so bits kept, and about a third cheaper at P1 and a quarter at
+P4 than the float copy and the negation into the slots. Writing the
+products with sJ and -sJ straight into the slots was slower still (the
+surface fluxes of the 200x100 P1 block took 9.0 against 8.5 ms on one
+CPU): a ufunc with a broadcast operand and a strided output runs a
+short inner loop per slot.
 
 Which element lies across each face comes from the block's face table
 (``GridBlock.face_pairs``): interior faces, and periodic sides, which
@@ -244,11 +258,15 @@ class Discretization:
         self.active_mask = np.ones((block.ni, block.nj), bool)
         w1 = basis.q1d_weights
         wv = basis.vol_weights[:, None]
-        self._vol_WDr = basis.vol_Dr * wv
-        self._vol_WDs = basis.vol_Ds * wv
-        # flux*sJ at the W, E, S, N face nodes -> minus the surface term
-        self._lift = -np.vstack([basis.face_V[f] * w1[:, None]
-                                 for f in FACES])
+        # the residual's operators end at the Gauss points, where the
+        # inverse mass scales (module docstring): volume fluxes A and B,
+        # and flux*sJ at the W, E, S, N face nodes (minus the surface
+        # term), each times V_g^T
+        VgT = basis.gauss_V.T
+        self._vol_WDr_g = (basis.vol_Dr * wv) @ VgT
+        self._vol_WDs_g = (basis.vol_Ds * wv) @ VgT
+        self._lift_g = -np.vstack([basis.face_V[f] * w1[:, None]
+                                   for f in FACES]) @ VgT
         self._vol_WV = basis.vol_V * wv
         # integral of every mode over every element, (ni, nj, n_modes)
         self._mode_integrals = ((basis.vol_weights * self.geo.detJ)
@@ -491,7 +509,13 @@ class Discretization:
             self._S = np.empty((4, self.block.ni, self.block.nj,
                                 len(FACES) * nf))
         S = self._S
-        slot = {f: S[..., k * nf:(k + 1) * nf] for k, f in enumerate(FACES)}
+        # face k's slots, each one element of nf * 8 bytes (module
+        # docstring), and a flux array's runs of nf points the same way
+        run = np.dtype((np.void, nf * S.itemsize))
+        slot = {f: S.view(run)[..., k] for k, f in enumerate(FACES)}
+
+        def runs(a):
+            return a.view(run)[..., 0]
 
         def trace(face, sel):
             # the selected elements' values at the face's points; a
@@ -510,8 +534,9 @@ class Discretization:
             nx, ny = at_points(geo.face_normal[fa][sa].transpose(2, 0, 1))
             fhat = self.flux(trace(fa, sa), trace(fb, sb), nx, ny, gas)
             fhat *= at_points(geo.face_sj[fa][sa])
-            slot[fa][(v, *sa)] = fhat
-            np.negative(fhat, out=slot[fb][(v, *sb)])
+            slot[fa][(v, *sa)] = runs(fhat)
+            np.negative(fhat, out=fhat)
+            slot[fb][(v, *sb)] = runs(fhat)
 
         def boundary():
             # every boundary side in one batch: trace, ghost, one flux
@@ -524,7 +549,8 @@ class Discretization:
                              nx, ny, gas)
             fhat *= sj
             for face, sel, rows, shape in self._bnd_sides:
-                slot[face][(v, *sel)] = fhat[:, rows].reshape(4, *shape, nf)
+                slot[face][(v, *sel)] = runs(
+                    fhat[:, rows].reshape(4, *shape, nf))
 
         tasks = [partial(pair, *rows) for rows in self._pair_rows]
         if self._bnd_sides:
@@ -547,21 +573,26 @@ class Discretization:
             # docstring)
             q = self.evaluate(coeffs[at])
             _, ux, uy, p = gasmod.primitives(q, self.gas)
-            U = ux * y_s - uy * x_s
-            W = uy * x_r - ux * y_r
+            t = np.empty(p.shape)  # each product's, before it is summed
+            U = ux * y_s
+            U -= np.multiply(uy, x_s, out=t)
+            W = uy * x_r
+            W -= np.multiply(ux, y_r, out=t)
             A = q * U
-            A[1] += p * y_s
-            A[2] -= p * x_s
-            A[3] += p * U
+            A[1] += np.multiply(p, y_s, out=t)
+            A[2] -= np.multiply(p, x_s, out=t)
+            A[3] += np.multiply(p, U, out=t)
             B = q * W
-            B[1] -= p * y_r
-            B[2] += p * x_r
-            B[3] += p * W
-            rhs = A @ self._vol_WDr
-            rhs += B @ self._vol_WDs
-            # surface term, lifted by one matmul
-            rhs += S[at] @ self._lift
-            out[at] = self.inverse_mass(rhs, sel)
+            B[1] -= np.multiply(p, y_r, out=t)
+            B[2] += np.multiply(p, x_r, out=t)
+            B[3] += np.multiply(p, W, out=t)
+            # volume and surface terms at the Gauss points, then the
+            # inverse mass's scale and V_g (module docstring)
+            g = A @ self._vol_WDr_g
+            g += B @ self._vol_WDs_g
+            g += S[at] @ self._lift_g
+            g *= self.geo.minv_scale[sel]
+            out[at] = g @ self.basis.gauss_V
 
         dispatch([partial(volume, sel, *metrics) for sel, metrics
                   in zip(self.row_blocks, self._row_metrics)], self.pooled)

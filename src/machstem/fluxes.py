@@ -32,29 +32,16 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _primitives(q, gas, shape):
-    """(rho, u, v, p, u*u + v*v) with the bits of ``gas.primitives``:
-    rho is ``q[0]``, the others new arrays of ``shape``."""
-    rho = q[0]
-    u = np.divide(q[1], rho, out=np.empty(shape))
-    v = np.divide(q[2], rho, out=np.empty(shape))
-    vv = np.multiply(u, u, out=np.empty(shape))
-    p = np.multiply(v, v, out=np.empty(shape))
-    vv += p
-    np.multiply(rho, 0.5, out=p)
-    p *= vv
-    np.subtract(q[3], p, out=p)
-    p *= gas.gamma - 1.0
-    return rho, u, v, p, vv
+from .gas import primitive_fields
 
 
 def _states(qL, qR, nx, ny, gas):
-    """Both sides' ``_primitives``, on the broadcast shape of the traces'
-    trailing axes and the normals."""
+    """Both sides' ``gas.primitive_fields``, on the broadcast shape of the
+    traces' trailing axes and the normals."""
     shape = np.broadcast_shapes(np.shape(qL)[1:], np.shape(qR)[1:],
                                 np.shape(nx), np.shape(ny))
-    return _primitives(qL, gas, shape), _primitives(qR, gas, shape)
+    return (primitive_fields(qL, gas, shape),
+            primitive_fields(qR, gas, shape))
 
 
 def _normal_velocity(u, v, nx, ny, out, scratch):

@@ -43,13 +43,31 @@ def conserved(rho, u, v, p, gas):
     return q
 
 
-def primitives(q, gas):
-    """Return (rho, u, v, p) from a conserved state array."""
+def primitive_fields(q, gas, shape=None):
+    """(rho, u, v, p, u*u + v*v) from a conserved state array, each
+    sub-expression formed once and in place: rho is ``q[0]``, the others
+    new arrays of ``shape`` (default: q's trailing shape, 0-d for a
+    single state), with the bits of the formulas written out, p =
+    (gamma - 1) (E - 0.5 rho (u u + v v))."""
+    if shape is None:
+        shape = np.shape(q)[1:]
     rho = q[0]
-    u = q[1] / rho
-    v = q[2] / rho
-    p = (gas.gamma - 1.0) * (q[3] - 0.5 * rho * (u * u + v * v))
-    return rho, u, v, p
+    u = np.divide(q[1], rho, out=np.empty(shape))
+    v = np.divide(q[2], rho, out=np.empty(shape))
+    vv = np.multiply(u, u, out=np.empty(shape))
+    p = np.multiply(v, v, out=np.empty(shape))
+    vv += p
+    np.multiply(rho, 0.5, out=p)
+    p *= vv
+    np.subtract(q[3], p, out=p)
+    p *= gas.gamma - 1.0
+    return rho, u, v, p, vv
+
+
+def primitives(q, gas):
+    """Return (rho, u, v, p) from a conserved state array
+    (``primitive_fields``)."""
+    return primitive_fields(q, gas)[:4]
 
 
 def pressure(q, gas):
@@ -94,9 +112,15 @@ def normal_flux(q, nx, ny, gas):
 
 
 def max_wave_speed(q, gas):
-    """Fastest signal speed |u| + a."""
-    rho, u, v, p = primitives(q, gas)
-    return np.sqrt(u * u + v * v) + np.sqrt(gas.gamma * p / rho)
+    """Fastest signal speed |u| + a, sqrt(u*u + v*v) + sqrt(gamma p /
+    rho), in the arrays of ``primitive_fields``."""
+    rho, _, _, p, speed = primitive_fields(q, gas)
+    p *= gas.gamma
+    p /= rho
+    np.sqrt(p, out=p)
+    np.sqrt(speed, out=speed)
+    speed += p
+    return speed
 
 
 def validate(q, gas, where=None):

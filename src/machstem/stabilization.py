@@ -29,9 +29,13 @@ keeps its mean, so the limiter is conservative:
 
 Both see their neighbors through the block's face pairs
 (``GridBlock.face_pairs``), periodic sides included, and read the
-neighbour's values in place, with no copy of them. Across a boundary
-side there is no neighbor: the indicator counts no jump there and the
-limiter drops that side's constraint (one-sided limiting).
+neighbour's values in place, with no copy of them. The limiter keeps
+one scaled mean difference per face, in two padded arrays whose shifted
+views give each element its W and E (or S and N) differences, so a face
+pair costs one subtraction and the block's linear modes are never
+copied. Across a boundary side there is no neighbor: the indicator
+counts no jump there and the limiter drops that side's constraint
+(one-sided limiting).
 
 The positivity guard (after Zhang & Shu, JCP 229:8918, 2010) keeps each
 guarded cell's mean and its values at the guard nodes (``Basis.node_V``:
@@ -162,22 +166,43 @@ def kxrcf_indicator(disc, coeffs, variables=(0,), threshold=1.0):
 def _minmod3(a, b, c):
     """The argument of least magnitude when all three share a sign, else
     0: the smallest when all are positive, the largest when all are
-    negative; a NaN argument gives 0. Eight array passes, and the bits
-    of the sign-and-magnitude form, signed zeros and infinities
+    negative; a NaN argument gives 0. The least and the greatest of the
+    three, lo and hi, are the only float arrays it allocates: hi becomes
+    +0 where it is not negative, then takes lo where lo is positive. The
+    bits of the sign-and-magnitude form, signed zeros and infinities
     included."""
-    lo = np.minimum(a, np.minimum(b, c))
-    hi = np.maximum(a, np.maximum(b, c))
-    return np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))
+    lo = np.minimum(b, c)
+    np.minimum(a, lo, out=lo)
+    hi = np.maximum(b, c)
+    np.maximum(a, hi, out=hi)
+    np.copyto(hi, 0.0, where=~(hi < 0))
+    np.copyto(hi, lo, where=lo > 0)
+    return hi
+
+
+def _padded_rows(sel, n, up):
+    """The rows of a padded difference array (``moment_limit``) that hold
+    the up (E or N) or down (W or S) faces of the elements ``sel``, a
+    slice of the n elements along the pair's direction."""
+    start, stop, _ = sel.indices(n)
+    return slice(start + up, stop + up)
 
 
 def moment_limit(disc, coeffs, flagged, tvb_m=0.0):
     """Limit flagged elements in place, keeping every element's mean
     (module docstring).
 
-    The minmod is taken, and the modes written, at the flagged elements
-    only: through slices when every element is flagged, through their
-    indices otherwise. Mode 0 changes only at the flagged elements that
-    are not parallelograms (``Discretization.skewed``).
+    The scaled neighbour mean differences live in two padded arrays, E/W
+    (4, ni + 1, nj) and N/S (4, ni, nj + 1): element i's W face is row
+    i, its E face row i + 1, and likewise along j, so the E and W
+    differences are shifted views of one array. Each face pair takes one
+    subtraction: an interior pair's faces share their rows, and a
+    periodic wrap writes both ends. An end row on a boundary side holds
+    the mode itself, which drops that side's constraint. The minmod is
+    taken, and the modes written, at the flagged elements only: through
+    slices when every element is flagged, through their indices
+    otherwise. Mode 0 changes only at the flagged elements that are not
+    parallelograms (``Discretization.skewed``).
     """
     if not np.any(flagged):
         return
@@ -197,22 +222,31 @@ def moment_limit(disc, coeffs, flagged, tvb_m=0.0):
         sel = np.nonzero(flagged)
         high = (sel[0][:, None], sel[1][:, None], basis.modes_high)
 
-    # scaled neighbor mean differences per face; a boundary face keeps
-    # the mode itself, which drops that constraint (one-sided limiting)
+    ni, nj = flagged.shape
     c10 = coeffs[:, :, :, basis.mode_lin_r]
     c01 = coeffs[:, :, :, basis.mode_lin_s]
-    diff = {f: c.copy() for f, c in ((FACE_W, c10), (FACE_E, c10),
-                                     (FACE_S, c01), (FACE_N, c01))}
+    d10 = np.empty((4, ni + 1, nj))
+    d01 = np.empty((4, ni, nj + 1))
+    d10[:, 0], d10[:, ni] = c10[:, 0], c10[:, -1]
+    d01[:, :, 0], d01[:, :, nj] = c01[:, :, 0], c01[:, :, -1]
     for fa, sa, fb, sb in disc.block.face_pairs:
         # face_a is the E or N face, so this is the forward difference
-        diff[fa][(v, *sa)] = diff[fb][(v, *sb)] = (
-            means[(v, *sb)] - means[(v, *sa)]) / SQRT3
+        ax, d = (0, d10) if fa == FACE_E else (1, d01)
+        rows_a, rows_b = list(sa), list(sb)
+        rows_a[ax] = _padded_rows(sa[ax], (ni, nj)[ax], 1)
+        rows_b[ax] = _padded_rows(sb[ax], (ni, nj)[ax], 0)
+        out = d[(v, *rows_a)]
+        np.subtract(means[(v, *sb)], means[(v, *sa)], out=out)
+        out /= SQRT3
+        if rows_a != rows_b:
+            d[(v, *rows_b)] = out
 
     keep = (disc.geo.h_max_edge[sel] ** 2 * tvb_m if tvb_m > 0.0
             else None)
-    for c, up, down in ((c10, FACE_E, FACE_W), (c01, FACE_N, FACE_S)):
+    for c, up, down in ((c10, d10[:, 1:], d10[:, :-1]),
+                        (c01, d01[:, :, 1:], d01[:, :, :-1])):
         own = c[(v, *sel)]
-        lim = _minmod3(own, diff[up][(v, *sel)], diff[down][(v, *sel)])
+        lim = _minmod3(own, up[(v, *sel)], down[(v, *sel)])
         if keep is not None:
             lim = np.where(np.abs(own) <= keep, own, lim)
         c[(v, *sel)] = lim

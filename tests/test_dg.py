@@ -17,7 +17,7 @@ from machstem.basis import Basis, FACE_W, FACE_E, FACE_S, FACE_N
 from machstem.dg import FACES, Discretization
 from machstem.fluxes import get_flux
 from machstem.gas import (GasModel, conserved, flux as euler_flux,
-                          free_stream, pressure)
+                          free_stream, pressure, primitives)
 from machstem.mesh import (GridBlock, TAG_INFLOW, TAG_INTERFACE, TAG_OUTFLOW,
                            TAG_PERIODIC, TAG_WALL)
 from machstem.mms import vortex_ic, vortex_state
@@ -544,6 +544,58 @@ def test_row_blocks_match_one_block(monkeypatch, order, flux_name, layout,
         lam = disc.max_wave_speed(coeffs)
         assert np.all(lam[~disc.active_mask] == 0.0)
         assert np.max(np.abs(lam - lam_ref)) <= 1e-14 * np.max(lam_ref)
+
+
+def modal_chain_residual(disc, coeffs):
+    """The residual through the modal right-hand side: volume and lift
+    operators that end at the modes, then ``inverse_mass``, over every
+    active element at once. The residual's operators end at the Gauss
+    points instead, which changes its sums at rounding level only."""
+    basis, geo = disc.basis, disc.geo
+    on = disc.active_mask
+    wv = basis.vol_weights[:, None]
+    lift = -np.vstack([basis.face_V[f] * basis.q1d_weights[:, None]
+                       for f in FACES])
+    S = disc._surface_fluxes(coeffs)
+    q = disc.evaluate(coeffs[:, on])
+    x_r, x_s, y_r, y_s = (m[on] for m in (geo.x_r, geo.x_s, geo.y_r,
+                                          geo.y_s))
+    rho, ux, uy, p = primitives(q, GAS)
+    U = ux * y_s - uy * x_s
+    W = uy * x_r - ux * y_r
+    A = q * U
+    A[1] += p * y_s
+    A[2] -= p * x_s
+    A[3] += p * U
+    B = q * W
+    B[1] -= p * y_r
+    B[2] += p * x_r
+    B[3] += p * W
+    rhs = A @ (basis.vol_Dr * wv) + B @ (basis.vol_Ds * wv) + S[:, on] @ lift
+    out = np.zeros_like(coeffs)
+    out[:, on] = disc.inverse_mass(rhs, on)
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 4])
+@pytest.mark.parametrize("layout", ["wedge", "periodic"])
+@pytest.mark.parametrize("masked", [False, True])
+def test_gauss_point_operators_match_modal_chain(monkeypatch, order, layout,
+                                                 masked):
+    """Volume and lift operators that end at the Gauss points give the
+    residual of the modal right-hand side and ``inverse_mass`` to 1e-13
+    relative, on the wedge's trapezoids and the wavy block's curved-edge
+    quads, through sliced and, with the mask, gathered row blocks."""
+    disc = row_split_disc(monkeypatch, split_sizes(order)[1], layout, order,
+                          "slau2", masked)
+    assert disc.skewed.size > 0
+    kinds = {isinstance(sel[0], slice) for sel in disc.row_blocks}
+    assert kinds == ({True, False} if masked else {True})
+    coeffs = random_admissible_state(disc, seed=7 * order + masked)
+    got = disc.residual(coeffs)
+    ref = modal_chain_residual(disc, coeffs)
+    assert np.all(got[:, ~disc.active_mask] == 0.0)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_residual_into_callers_array_matches_a_new_one(monkeypatch):

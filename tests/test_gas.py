@@ -89,3 +89,23 @@ def test_validate_rejects_negative_density_and_reports_location():
 def test_validate_passes_and_returns_pressure():
     q = gas.free_stream(3.0, GAS)
     assert gas.validate(q, GAS) == pytest.approx(1.0 / 1.4)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5, 9)])
+def test_primitives_and_wave_speed_keep_the_one_line_formulas_bits(shape):
+    """``primitives`` forms p in place and ``max_wave_speed`` forms
+    u^2 + v^2 once: both keep the bits of the one-line formulas, for a
+    single state and batches."""
+    rng = np.random.default_rng(len(shape))
+    q = np.stack([rng.uniform(0.5, 2.0, shape), rng.uniform(-1.0, 1.0, shape),
+                  rng.uniform(-1.0, 1.0, shape), rng.uniform(2.0, 3.0, shape)])
+    rho = q[0]
+    u, v = q[1] / rho, q[2] / rho
+    p = (GAS.gamma - 1.0) * (q[3] - 0.5 * rho * (u * u + v * v))
+    lam = np.sqrt(u * u + v * v) + np.sqrt(GAS.gamma * p / rho)
+    got = gas.primitives(q, GAS)
+    for a, b in zip(got, (rho, u, v, p)):
+        assert np.array_equal(np.asarray(a).view(np.uint64),
+                              np.asarray(b).view(np.uint64))
+    assert np.array_equal(np.asarray(gas.max_wave_speed(q, GAS))
+                          .view(np.uint64), np.asarray(lam).view(np.uint64))

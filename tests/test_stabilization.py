@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from machstem.basis import Basis
 from machstem.dg import Discretization
 from machstem.gas import GasModel, conserved, free_stream, pressure
-from machstem.mesh import GridBlock, TAG_PERIODIC
+from machstem.mesh import GridBlock, TAG_PERIODIC, TAG_WALL
 from machstem.mms import vortex_ic
 from machstem.stabilization import (kxrcf_indicator, moment_limit,
                                     positivity_guard, _dips_below_floors,
@@ -243,6 +243,95 @@ def test_limiter_matches_whole_block_reference(order, periodic, flags,
     if tvb_m > 0.0:
         moment_limit(disc, start, flagged)
         assert not np.array_equal(coeffs, start)
+
+
+def previous_moment_limit(disc, coeffs, flagged, tvb_m=0.0):
+    """The limiter as it was before its differences moved to padded
+    arrays: four block-sized copies of the linear modes, overwritten at
+    both faces of every face pair."""
+    from machstem.basis import FACE_W, FACE_E, FACE_S, FACE_N
+    if not np.any(flagged):
+        return
+    basis = disc.basis
+    means = disc.cell_means(coeffs)
+    v = slice(None)
+    fix = np.take(flagged, disc.skewed)
+    skewed, shift = disc.skewed[fix], disc.mean_shift[fix]
+    before = coeffs.reshape(4, -1, basis.n_modes).take(skewed, axis=1)
+    if flagged.all():
+        sel = (slice(None), slice(None))
+        high = (slice(None), slice(None), basis.modes_high)
+    else:
+        sel = np.nonzero(flagged)
+        high = (sel[0][:, None], sel[1][:, None], basis.modes_high)
+    c10 = coeffs[:, :, :, basis.mode_lin_r]
+    c01 = coeffs[:, :, :, basis.mode_lin_s]
+    diff = {f: c.copy() for f, c in ((FACE_W, c10), (FACE_E, c10),
+                                     (FACE_S, c01), (FACE_N, c01))}
+    for fa, sa, fb, sb in disc.block.face_pairs:
+        diff[fa][(v, *sa)] = diff[fb][(v, *sb)] = (
+            means[(v, *sb)] - means[(v, *sa)]) / np.sqrt(3.0)
+    keep = (disc.geo.h_max_edge[sel] ** 2 * tvb_m if tvb_m > 0.0
+            else None)
+    for c, up, down in ((c10, FACE_E, FACE_W), (c01, FACE_N, FACE_S)):
+        own = c[(v, *sel)]
+        a, b = diff[up][(v, *sel)], diff[down][(v, *sel)]
+        lo = np.minimum(own, np.minimum(a, b))
+        hi = np.maximum(own, np.maximum(a, b))
+        lim = np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))
+        if keep is not None:
+            lim = np.where(np.abs(own) <= keep, own, lim)
+        c[(v, *sel)] = lim
+    coeffs[(v, *high)] = 0.0
+    if skewed.size:
+        lost = before - coeffs.reshape(4, -1, basis.n_modes).take(skewed,
+                                                                  axis=1)
+        at = np.unravel_index(skewed, flagged.shape)
+        coeffs[(v, *at, 0)] += np.einsum("vnp,np->vn", lost[..., 1:], shift)
+
+
+def skewed_disc(order, periodic):
+    """A 7x5 block of quads that are not parallelograms, on a bumped
+    [0, 2] x [0, 1.5], periodic or walled on every side."""
+    xs, ys = np.linspace(0.0, 2.0, 8), np.linspace(0.0, 1.5, 6)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    bump = np.sin(np.pi * X) * np.sin(np.pi * Y / 1.5)
+    verts = np.stack([X + 0.08 * bump, Y - 0.06 * bump], axis=-1)
+    tag = TAG_PERIODIC if periodic else TAG_WALL
+    return Discretization(GridBlock(verts, tags={f: tag for f in range(4)}),
+                          Basis(order), GAS)
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("flags", ["all", "partial"])
+@pytest.mark.parametrize("tvb_m", [0.0, 0.5])
+def test_padded_differences_match_previous_limiter(order, periodic, flags,
+                                                   tvb_m):
+    """Differences from the shifted views of padded arrays, one
+    subtraction per face pair, and the minmod's lo and hi formed in place
+    write the previous limiter's coefficients bit for bit, mean shifts of
+    the skewed elements included."""
+    rng = np.random.default_rng(5 * order + 2 * periodic)
+    disc = skewed_disc(order, periodic)
+    assert disc.skewed.size > 0
+    shape = (disc.block.ni, disc.block.nj)
+    mean = conserved(rng.uniform(0.8, 1.2, shape),
+                     rng.uniform(-1.5, 1.5, shape),
+                     rng.uniform(-1.5, 1.5, shape),
+                     rng.uniform(0.5, 1.0, shape), GAS)
+    coeffs = 0.05 * rng.standard_normal(
+        (4,) + shape + (disc.basis.n_modes,)) * np.abs(mean)[..., None]
+    coeffs[..., disc.basis.mode_const] = 2.0 * mean
+    flagged = (np.ones(shape, bool) if flags == "all"
+               else rng.uniform(size=shape) < 0.4)
+    assert 0 < flagged.sum()
+    ref = coeffs.copy()
+    previous_moment_limit(disc, ref, flagged, tvb_m)
+    start = coeffs.copy()
+    moment_limit(disc, coeffs, flagged, tvb_m)
+    assert np.array_equal(coeffs.view(np.uint64), ref.view(np.uint64))
+    assert not np.array_equal(coeffs, start)
 
 
 @pytest.mark.parametrize("order", [1, 4])
