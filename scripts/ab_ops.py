@@ -14,7 +14,14 @@ runs one untimed warm-up operation first; the two never run at the same
 time. Each pair prints both sides' wall and CPU time (the process's,
 every thread included) and the median step time of the operation's
 marches, and the ratios new/base; the summary prints the median ratios
-and the number of pairs in which the new checkout used less. An
+and the number of pairs in which the new checkout used less.
+
+Before every pair, with both workers idle, this process times a fixed
+numpy product twice on one thread and once on each of two threads at
+once, and prints the ratio of the two times with the pair (``par``):
+about 2 when the host gives two CPUs, about 1 when it gives one. The
+summary prints its range. Whether a thread pool pays depends on it, so
+a claim about pooling must state it. An
 operation whose answer fails the workload's check is reported and ends
 the run. Run directories go to a temporary directory, removed at exit;
 nothing under either checkout changes.
@@ -28,18 +35,43 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
+# single-threaded math libraries, as in benchmarks/run.py, in the
+# workers and in the parallelism probe
+os.environ.update({v: "1" for v in (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS")})
 HERE = Path(__file__).resolve()
+
+
+def host_parallelism():
+    """Time of two runs of a fixed product on one thread over the time
+    of one run on each of two threads at once (module docstring)."""
+    import numpy as np
+    a = np.random.default_rng(0).standard_normal((256, 256))
+
+    def product():
+        for _ in range(20):
+            a @ a
+
+    product()                                       # warm-up
+    start = time.perf_counter()
+    product()
+    product()
+    serial = time.perf_counter() - start
+    other = threading.Thread(target=product)
+    start = time.perf_counter()
+    other.start()
+    product()
+    other.join()
+    return serial / (time.perf_counter() - start)
 
 
 def worker(root, workload, seed, out_dir):
     """Serve operations over stdin/stdout: one JSON line per ``run``."""
-    # single-threaded math libraries, as in benchmarks/run.py
-    os.environ.update({v: "1" for v in (
-        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS")})
     root = Path(root)
     sys.path[:0] = [str(root / "src"), str(root / "benchmarks")]
     import tracing
@@ -112,7 +144,7 @@ def fmt(value, spec):
 
 def compare(args):
     keys = ("wall_s", "cpu_s", "iter_ms")
-    pairs = []
+    pairs, parallelism = [], []
     with tempfile.TemporaryDirectory() as tmp:
         sides = []
         try:
@@ -122,8 +154,10 @@ def compare(args):
                 sides.append(Side(name, Path(root).resolve(), args, out))
             base, new = sides
             print(f"{'pair':>4} {'first':>5} {'base wall':>10} "
-                  f"{'new wall':>9} {'wall':>6} {'cpu':>6} {'iter':>6}")
+                  f"{'new wall':>9} {'wall':>6} {'cpu':>6} {'iter':>6} "
+                  f"{'par':>5}")
             for k in range(args.pairs):
+                parallelism.append(host_parallelism())
                 order = (base, new) if k % 2 == 0 else (new, base)
                 got = {side.name: side.run() for side in order}
                 r = {key: ratio(got["new"], got["base"], key) for key in keys}
@@ -131,8 +165,8 @@ def compare(args):
                 print(f"{k:4d} {order[0].name:>5} "
                       f"{got['base']['wall_s']:9.3f}s "
                       f"{got['new']['wall_s']:8.3f}s "
-                      + " ".join(fmt(r[key], "6.3f") for key in keys),
-                      flush=True)
+                      + " ".join(fmt(r[key], "6.3f") for key in keys)
+                      + f" {parallelism[-1]:5.2f}", flush=True)
         finally:
             for side in sides:
                 side.close()
@@ -143,6 +177,10 @@ def compare(args):
             wins = sum(v < 1.0 for v in vals)
             print(f"  {key:7s} median ratio {statistics.median(vals):.3f}, "
                   f"new lower in {wins} of {len(vals)}")
+    if parallelism:
+        print(f"host parallelism {min(parallelism):.2f} to "
+              f"{max(parallelism):.2f}, median "
+              f"{statistics.median(parallelism):.2f}")
 
 
 def main():

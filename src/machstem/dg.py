@@ -109,25 +109,56 @@ of every face pair, plus one for the batch unless the block is fully
 periodic. The flux is pointwise, so the row ranges and the batch give
 the same face values as one call per pair and per side.
 
-The passes over row blocks and face row ranges run on every CPU the
-process may use (``WORKERS``, its affinity set): ``dispatch`` cuts a
-pass's tasks into ``WORKERS`` interleaved shares, runs the first on the
-calling thread and the others on a pool of ``WORKERS - 1`` threads,
-made on first use. Four passes go through it: the face traces and
-fluxes (one task per row range of a face pair, one for the boundary
-batch), the volume terms of the residual after them (one per row
-block), the wave speed (one per row block), and the overset transfer
-(``OversetAssembly``; its two directions). Each task writes only its own elements or face slots
-and no sum crosses tasks, so the results are bit for bit the serial
-ones. The gate is the input's: a pass goes to the pool only when its
-block spans more than one row block (``Discretization.pooled``), as the
-per-call cost of the pool outweighs a few small tasks. Each share runs
-in a copy of the caller's context, which carries numpy's ``errstate``;
-a forked child drops the pool it inherits without its threads and makes
-its own; a dispatch made from a pool thread runs serially there, as
-waiting on the pool from inside it could deadlock. With one CPU there
-is no pool and every pass is the serial loop. Wall time falls; CPU time
-does not.
+The passes over row blocks and face row ranges of a block that passes
+the gate below run on every CPU the process may use (``WORKERS``, its
+affinity set): ``dispatch`` cuts a pass's tasks into ``WORKERS``
+interleaved shares, runs the first on the calling thread and the others
+on a pool of ``WORKERS - 1`` threads, made on first use. Four passes go
+through it: the face traces and fluxes (one task per row range of a
+face pair, one for the boundary batch), the volume terms of the
+residual after them (one per row block), the wave speed (one per row
+block), and the overset transfer (``OversetAssembly``; its two
+directions). Each task writes only its own elements or face slots and
+no sum crosses tasks, so the results are bit for bit the serial ones.
+Each share runs in a copy of the caller's context, which carries
+numpy's ``errstate``; a forked child drops the pool it inherits without
+its threads and makes its own; a dispatch made from a pool thread runs
+serially there, as waiting on the pool from inside it could deadlock.
+With one CPU there is no pool and every pass is the serial loop.
+
+The gate is the input's: a block's passes go to the pool only when it
+spans at least ``POOL_MIN_ROW_BLOCKS`` = 4 row blocks
+(``Discretization.pooled``), whatever its mask and ``WORKERS``; the
+transfer goes when either block does. A block below it never wakes the
+pool, and a run whose blocks are all below it never starts the pool
+thread or its malloc arena: the vortex study's blocks have 1 and 3 row
+blocks, the probe grids' 1 and 2. The default coarse block has 12, the
+default fine blocks 12 and 14. The pool costs CPU time wherever it
+runs: a step of 2 or 3 row blocks took 1.25-1.39 times the CPU time on
+two CPUs, one of 4 to 12 row blocks 1.09-1.28 times. It gains wall
+time only while the host gives the process a second CPU, which a
+shared host does not always do. Pooled over serial time of the residual
+and the wave speed, each inside RK5 steps of a periodic block of ``k``
+full row blocks (nj = 40 at P1, 32 at P2 and P4), on a 2-vCPU shared
+host; "2 CPUs" counts only the steps between two probes in which a
+second thread ran a fixed product at least 1.6 times as fast, "1 CPU"
+pins the process to one CPU:
+
+    row blocks k          2          3          4          7         12
+    P1 2 CPUs   resid  0.93       0.88       0.79       0.68       0.64
+                wave   1.16       1.05       0.88       0.77       0.71
+    P2 2 CPUs   resid  0.87       0.90       0.71       0.73       0.65
+                wave   1.11       1.01       0.88       0.79       0.73
+    P4 2 CPUs   resid  0.83       0.85       0.71       0.73       0.65
+                wave   1.10       0.96       0.90       0.87       0.70
+    P1-P4 1 CPU resid  1.05-1.06  1.03-1.06  1.03-1.06  1.01-1.07  1.00-1.04
+                wave   1.30-1.40  1.11-1.22  1.21-1.23  1.07-1.19  1.04-1.10
+
+With two CPUs the pooled residual already wins at 2 and 3 row blocks,
+but only by 7-17%; its wave speed loses at 2 row blocks, and at 3 at
+P1 and P2; with one CPU both lose. From 4 row blocks both win at every
+order, the residual by 21-29%: 4 is the fewest row blocks at which
+that holds.
 
 Each ``Discretization`` owns one surface-flux array (4, ni, nj,
 4 * nq_1d), allocated by the first residual and kept for the block's
@@ -161,6 +192,10 @@ FACES = (FACE_W, FACE_E, FACE_S, FACE_N)
 # points per row block: about 20 node-sized float64 temporaries of this
 # many points fill a 2 MB L2 cache (module docstring)
 BLOCK_NODES = 16384
+# row blocks from which a block's passes go to the pool: the fewest at
+# which the pooled residual and wave speed both beat the serial ones on
+# two CPUs at P1, P2 and P4 (module docstring)
+POOL_MIN_ROW_BLOCKS = 4
 
 
 def _row_ranges(n, height):
@@ -343,8 +378,8 @@ class Discretization:
         height = BLOCK_NODES // (shape[1] * self.basis.vol_V.shape[0])
         ranges = _row_ranges(shape[0], height)
         # the gate of the pool (module docstring): whether the block
-        # spans more than one row block, whatever its mask
-        self.pooled = len(ranges) > 1
+        # spans POOL_MIN_ROW_BLOCKS row blocks, whatever its mask
+        self.pooled = len(ranges) >= POOL_MIN_ROW_BLOCKS
         blocks = []
         for rows in ranges:
             on = mask[rows]

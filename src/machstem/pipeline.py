@@ -537,6 +537,23 @@ def _measurement_doc(measurement):
             "strip_min_mach": float(diag["strip_min_mach"][0])}
 
 
+def _smallest_h_dt(discs):
+    """The active element of ``discs`` with the smallest ``h_dt``, as
+    ``result.json`` records it per stage: its block, (i, j), centroid
+    and ``h_dt``.  At a uniform wave speed it sets the global dt
+    (``System.stable_dt``)."""
+    best = None
+    for d in discs:
+        h = np.where(d.active_mask, d.geo.h_dt, np.inf)
+        ij = np.unravel_index(np.argmin(h), h.shape)
+        if best is None or h[ij] < best[0]:
+            best = h[ij], d, ij
+    h, d, (i, j) = best
+    x, y = d.block.element_centroids()[i, j]
+    return {"block": d.block.name, "ij": [int(i), int(j)],
+            "centroid": [float(x), float(y)], "h_dt": float(h)}
+
+
 def load_cached_run(run_dir):
     """The summary of the finished run in ``run_dir``; None when there is
     none to trust: no manifest, a manifest or ``result.json`` that does
@@ -652,7 +669,9 @@ def run_pipeline(cfg, *, run_dir=None, reuse=True, on_log=None):
               "coarse_residual": coarse.march.residual,
               "fine_residual": fine.march.residual,
               "coarse_time": coarse.march.time,
-              "fine_time": fine.march.time}
+              "fine_time": fine.march.time,
+              "coarse_min_h_dt": _smallest_h_dt([coarse.disc]),
+              "fine_min_h_dt": _smallest_h_dt(fine.discs)}
     (run_dir / "result.json").write_text(json.dumps(result, indent=2) + "\n")
     manifest.record(run_dir / "result.json")
     manifest.finish()

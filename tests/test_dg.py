@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from machstem import dg, stabilization
+from machstem import convergence, dg, stabilization
 from machstem.basis import Basis, FACE_W, FACE_E, FACE_S, FACE_N
 from machstem.dg import FACES, Discretization
 from machstem.fluxes import get_flux
@@ -21,8 +21,9 @@ from machstem.gas import (GasModel, conserved, flux as euler_flux,
 from machstem.mesh import (GridBlock, TAG_INFLOW, TAG_INTERFACE, TAG_OUTFLOW,
                            TAG_PERIODIC, TAG_WALL)
 from machstem.mms import vortex_ic, vortex_state
+from machstem.overset import OversetAssembly
 from machstem.stabilization import positivity_guard
-from machstem.timestepping import System
+from machstem.timestepping import System, advance_time
 from machstem.wedge import FlowCase, build_wedge_grid
 
 GAS = GasModel()
@@ -830,8 +831,8 @@ def pool_wedge_disc(flux):
 
 
 def pool_box_disc(flux):
-    """The 32x32 P4 periodic box: 3 row blocks, and wrap pairs."""
-    disc = periodic_vortex_disc(32, 4)
+    """The 64x64 P4 periodic box: 10 row blocks, and wrap pairs."""
+    disc = periodic_vortex_disc(64, 4)
     disc.flux = flux
     return disc
 
@@ -886,15 +887,49 @@ def test_more_shares_than_cores_match_serial(monkeypatch):
 
 
 def test_small_block_stays_on_the_calling_thread(monkeypatch):
-    """The gate: a block of one row block dispatches nothing."""
-    threads = []
-    disc = Discretization(wavy_block(8, 6), Basis(2), GAS,
-                          flux=thread_recording_flux("lax_friedrichs",
-                                                     threads))
-    assert not disc.pooled
+    """The gate: a block of fewer than ``POOL_MIN_ROW_BLOCKS`` row blocks
+    dispatches nothing: one row block (8x6 P2), three (a 32x32 P4 box,
+    as in vortex-p4) and two (the probes' 80x40 P1 wedge block)."""
     use_pool(monkeypatch)
-    disc.residual(random_admissible_state(disc, seed=1))
-    assert threads and not any(t.startswith(POOL_THREAD) for t in threads)
+    for block, order, row_blocks in (
+            (wavy_block(8, 6), 2, 1),
+            (periodic_vortex_disc(32, 4).block, 4, 3),
+            (build_wedge_grid(WEDGE_CASE, 80, 40), 1, 2)):
+        threads = []
+        disc = Discretization(block, Basis(order), GAS,
+                              flux=thread_recording_flux("lax_friedrichs",
+                                                         threads),
+                              bc_state=WEDGE_CASE.free_stream())
+        assert len(disc.row_blocks) == row_blocks and not disc.pooled
+        coeffs = (disc.project(vortex_ic(GAS)) if order == 4
+                  else random_admissible_state(disc, seed=1))
+        disc.residual(coeffs)
+        disc.max_wave_speed(coeffs)
+        assert threads and not any(t.startswith(POOL_THREAD)
+                                   for t in threads)
+
+
+def test_vortex_p4_step_starts_no_pool(monkeypatch):
+    """One RK5 step of vortex-p4's 32-cell two-block P4 system (3 and 1
+    row blocks) with two CPUs runs on the calling thread alone: it
+    starts no pool and no thread."""
+    monkeypatch.setattr(dg, "WORKERS", 2)
+    monkeypatch.setattr(dg, "_pool", None)
+    before = threading.active_count()
+    flux, bg_grids, ov_grids, bounds = convergence.TWO_BLOCK[4]
+    basis = Basis(4)
+    bg = Discretization(convergence._periodic_box(bg_grids[1]), basis, GAS,
+                        flux="lax_friedrichs")
+    ov = Discretization(convergence._sheared_patch(ov_grids[1], bounds),
+                        basis, GAS, flux=flux)
+    assert (len(bg.row_blocks), len(ov.row_blocks)) == (3, 1)
+    system = System([bg, ov], transfer=OversetAssembly(bg, ov).transfer)
+    coeffs = [d.project(vortex_ic(GAS)) for d in (bg, ov)]
+    # half the stable step: advance_time takes it in one step
+    t = 0.5 * system.stable_dt(coeffs, convergence.CFL)[0]
+    assert advance_time(system, coeffs, t, cfl=convergence.CFL) == t
+    assert all(np.isfinite(c).all() for c in coeffs)
+    assert dg._pool is None and threading.active_count() == before
 
 
 def test_one_cpu_starts_no_thread(monkeypatch):

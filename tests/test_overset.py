@@ -677,12 +677,12 @@ def test_assembly_requires_interface_tags():
 
 
 def test_pool_matches_serial_on_a_partly_active_assembly(monkeypatch):
-    """On an assembly whose P4 background spans three row blocks and has
+    """On an assembly whose P4 background spans four row blocks and has
     holes, the transfer, the residuals and the wave speeds on the pool
     are bit for bit the serial ones, and the two transfer directions ran
     on two threads."""
     q = free_stream(3.0, GAS)
-    bg = cartesian_block(40, 30, 0.0, 1.5, 0.0, 1.0,
+    bg = cartesian_block(60, 30, 0.0, 1.5, 0.0, 1.0,
                          tags={FACE_W: TAG_INFLOW})
     ov = sheared_block(24, 18, 0.4, 1.1, 0.25, 0.75, shear=0.12,
                        tags=interface_tags())
@@ -690,7 +690,7 @@ def test_pool_matches_serial_on_a_partly_active_assembly(monkeypatch):
                          bc_state=q)
     ovd = Discretization(ov, Basis(4), GAS, flux="slau2", bc_state=q)
     asm = OversetAssembly(bgd, ovd)
-    assert bgd.pooled and len(bgd.row_blocks) == 3 and not ovd.pooled
+    assert bgd.pooled and len(bgd.row_blocks) == 4 and not ovd.pooled
     assert asm.counts()["background"]["hole"] > 0
 
     def smooth(x, y):

@@ -222,14 +222,13 @@ def test_pipeline_smoke_rr_then_restart(tmp_path, monkeypatch):
     by the end of the march (the wall flow is still free stream), so the
     RR it reads cannot fail by misclassifying a reflection; the exact-
     state tests of ``measure_stem`` cover that."""
-    fines = []
-    run_fine = pipeline.run_fine
-
-    def recording_fine(*args, **kwargs):
-        fines.append(run_fine(*args, **kwargs))
-        return fines[-1]
-
-    monkeypatch.setattr(pipeline, "run_fine", recording_fine)
+    coarses, fines = [], []
+    for name, runs in (("run_coarse", coarses), ("run_fine", fines)):
+        def recording(*args, _run=getattr(pipeline, name), _runs=runs,
+                      **kwargs):
+            _runs.append(_run(*args, **kwargs))
+            return _runs[-1]
+        monkeypatch.setattr(pipeline, name, recording)
     first = run_pipeline(parse_config(None, overrides=SMOKE),
                          run_dir=tmp_path / "impulsive", reuse=False)
     assert first.measurement["classification"] == "RR"
@@ -248,6 +247,18 @@ def test_pipeline_smoke_rr_then_restart(tmp_path, monkeypatch):
                            "overset_limiter_activations",
                            "overset_receiver_repairs"]
     assert 0.0 < result["coarse_time"] and 0.0 < result["fine_time"]
+    # the element with the smallest h_dt over the active elements of
+    # each stage's blocks
+    for stage, discs in (("coarse", [coarses[0].disc]),
+                         ("fine", fines[0].discs)):
+        smallest = result[f"{stage}_min_h_dt"]
+        assert smallest["h_dt"] == min(d.geo.h_dt[d.active_mask].min()
+                                       for d in discs)
+        d, = (d for d in discs if d.block.name == smallest["block"])
+        i, j = smallest["ij"]
+        assert d.active_mask[i, j] and d.geo.h_dt[i, j] == smallest["h_dt"]
+        assert smallest["centroid"] == \
+            d.block.element_centroids()[i, j].tolist()
     # a cached run reads back as the run that wrote it
     assert load_cached_run(first.run_dir) == \
         dataclasses.replace(first, cached=True)
